@@ -83,14 +83,6 @@ class ConvergenceReport:
 # support / parity
 
 
-def _poly_parity(spec: CompositeSpec) -> Optional[int]:
-    """0 if all moving weights sit on even atomic lengths, 1 if all odd, None if mixed."""
-    parities = {m % 2 for m, w in enumerate(spec.weights) if w > 0}
-    if len(parities) == 1:
-        return parities.pop()
-    return None
-
-
 def support_positive(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int) -> bool:
     """Necessary parity condition for a positive confined count.
 
@@ -99,7 +91,7 @@ def support_positive(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n:
     """
     u = check_chamber_point(spec, u)
     v = check_chamber_point(spec, v)
-    parity = _poly_parity(spec)
+    parity = spec.parity
     if parity is None:
         return True
     if spec.kind is AtomicKind.AXIS:

@@ -6,8 +6,7 @@ Exact counts are always serialized as strings so arbitrary precision
 survives the trip through JSON.
 
 Exit codes: 0 success, 1 verification/match failure, 2 usage error,
-3 resource-budget refusal.  The CHAMBER_THREADS environment variable is
-accepted as a performance knob (0 = auto); results never depend on it.
+3 resource-budget refusal.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -28,18 +26,6 @@ from chamberwalk.stepmodel import AtomicKind, CompositeSpec
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-
-def _threads() -> int:
-    """Reserved tuning knob; evaluation is sequential either way."""
-    raw = os.environ.get("CHAMBER_THREADS", "0")
-    try:
-        val = int(raw)
-    except ValueError:
-        raise click.UsageError(f"CHAMBER_THREADS must be an integer, got {raw!r}")
-    if val < 0:
-        raise click.UsageError("CHAMBER_THREADS must be >= 0")
-    return val
 
 
 def _parse_point(text: str, k: int, what: str) -> tuple[int, ...]:
@@ -109,7 +95,6 @@ def _model_options(fn):
 @click.group()
 def main() -> None:
     """Walk counting and asymptotics in the chamber 0 < x1 < ... < xk."""
-    _threads()
 
 
 @main.command("count")

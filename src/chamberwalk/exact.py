@@ -6,8 +6,14 @@ Three independent exact routes are provided:
                               lattice points (the oracle),
 * ``count_reflection``     -- signed sum of unconstrained counts over the
                               group of signed permutations,
-* ``count_unconstrained``  -- plain coefficient extraction from S(z)^n by
-                              sparse convolution.
+* ``count_unconstrained``  -- plain coefficient extraction from S(z)^n.
+
+Unconstrained coefficients use S = P(A):
+[z^d]S^n = sum_m [x^m]P(x)^n * [z^d]A^m.  For the diagonal kind
+[z^d]A^m = prod_j C(m, (m + d_j)/2) is a closed form, shared by every
+diagonal model; the axis kind still reads its coefficients off a
+displacement table built by sparse convolution.  Free-endpoint sums by
+reflection visit only the end points an unconstrained walk can reach.
 
 All arithmetic is exact: Python ints when every weight is an integer,
 ``Fraction`` otherwise.  Confinement is atomic-strict: every intermediate
@@ -17,8 +23,10 @@ chamber.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -115,17 +123,38 @@ def displacement_distribution(spec: CompositeSpec, n: int) -> dict:
     return dist
 
 
-def _is_lockstep(spec: CompositeSpec) -> bool:
-    return spec.kind is AtomicKind.DIAGONAL and spec.weights == (Fraction(0), Fraction(1))
+@functools.lru_cache(maxsize=16)
+def _weight_power(weights: tuple[Fraction, ...], n: int) -> tuple[tuple[int, ...], tuple]:
+    """The atomic lengths m with [x^m]P(x)^n != 0, and those coefficients.
+
+    Writes P(x) = x^a Q(x) with Q(0) != 0 and expands Q(x)^n by Miller's
+    recurrence i q_0 c_i = sum_j ((n + 1) j - i) q_j c_(i-j).
+    """
+    a = next(m for m, w in enumerate(weights) if w)
+    q = weights[a:]
+    if all(w.denominator == 1 for w in q):
+        # every coefficient of an integer polynomial's power is an integer
+        q, divide = [int(w) for w in q], operator.floordiv
+    else:
+        divide = operator.truediv
+    e = len(q) - 1
+    coeffs = [q[0] ** n]
+    for i in range(1, n * e + 1):
+        acc = sum(((n + 1) * j - i) * q[j] * coeffs[i - j] for j in range(1, min(i, e) + 1))
+        coeffs.append(divide(acc, i * q[0]))
+    support = [(n * a + i, c) for i, c in enumerate(coeffs) if c]
+    return tuple(m for m, _ in support), tuple(c for _, c in support)
 
 
-def _lockstep_unconstrained(delta: Sequence[int], n: int) -> int:
-    total = 1
-    for d in delta:
-        if (n + d) % 2 != 0 or abs(d) > n:
-            return 0
-        total *= math.comb(n, (n + d) // 2)
-    return total
+def _binomial_row(lengths: Sequence[int], d: int) -> tuple[int, ...]:
+    """[z^d](z + 1/z)^m for each m in ``lengths``."""
+    return tuple(math.comb(m, (m + d) // 2) if abs(d) <= m and (m + d) % 2 == 0 else 0
+                 for m in lengths)
+
+
+def _check_length(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"walk length n must be >= 0, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +169,13 @@ def count_unconstrained(spec: CompositeSpec, u: Sequence[int], v: Sequence[int],
     for p in (u, v):
         if not lattice_contains(spec, p):
             raise ValueError(f"{p} is not on the walk lattice")
+    _check_length(n)
     delta = tuple(b - a for a, b in zip(u, v))
-    if _is_lockstep(spec):
-        return _lockstep_unconstrained(delta, n)
-    return displacement_distribution(spec, n).get(delta, 0)
+    if spec.kind is AtomicKind.AXIS:
+        return displacement_distribution(spec, n).get(delta, 0)
+    lengths, coeffs = _weight_power(spec.weights, n)
+    rows = [_binomial_row(lengths, d) for d in delta]
+    return sum(map(math.prod, zip(coeffs, *rows)))
 
 
 def signed_permutations(k: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -152,13 +184,12 @@ def signed_permutations(k: int) -> Iterator[tuple[tuple[int, ...], int]]:
     The image map sends position j to (source index, sign); the yielded
     sign is sgn(sigma) * prod_j eps_j.
     """
+    eps_signs = [math.prod(eps) for eps in itertools.product((1, -1), repeat=k)]
     for perm in itertools.permutations(range(k)):
         sgn = _perm_sign(perm)
-        for eps in itertools.product((1, -1), repeat=k):
-            prod_eps = 1
-            for e in eps:
-                prod_eps *= e
-            yield tuple(zip(perm, eps)), sgn * prod_eps
+        # product() walks the sign vectors in the order eps_signs lists them
+        images = itertools.product(*[((src, 1), (src, -1)) for src in perm])
+        yield from zip(images, [sgn * s for s in eps_signs])
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -181,27 +212,33 @@ def count_reflection(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n:
                      naive: bool = False):
     """Signed sum over signed permutations of unconstrained counts.
 
-    With ``naive=False`` the unconstrained counts are read off a single
-    displacement distribution (or the lock-step binomial product); the
-    naive mode recomputes every term through ``count_unconstrained`` and is
-    kept for differential testing.
+    With ``naive=False`` the diagonal kind multiplies per-call rows of the
+    2k^2 one-dimensional displacements v_j - eps*u_i, and the axis kind reads
+    a single displacement table; the naive mode recomputes every term
+    through ``count_unconstrained`` and is kept for differential testing.
     """
     u = check_chamber_point(spec, u)
     v = check_chamber_point(spec, v)
-    lockstep = _is_lockstep(spec)
-    dist = None
-    if not naive and not lockstep:
+    _check_length(n)
+    if naive:
+        def term(image):
+            return count_unconstrained(spec, [eps * u[src] for src, eps in image], v, n)
+    elif spec.kind is AtomicKind.AXIS:
         dist = displacement_distribution(spec, n)
+
+        def term(image):
+            return dist.get(tuple(b - eps * u[src] for b, (src, eps) in zip(v, image)), 0)
+    else:
+        lengths, coeffs = _weight_power(spec.weights, n)
+        # rows[j][(i, eps)] holds [z^(v_j - eps*u_i)](z + 1/z)^m over the lengths m
+        rows = [{(i, eps): _binomial_row(lengths, vj - eps * ui)
+                 for i, ui in enumerate(u) for eps in (1, -1)} for vj in v]
+
+        def term(image):
+            return sum(map(math.prod, zip(coeffs, *map(dict.__getitem__, rows, image))))
     total = 0
     for image, sign in signed_permutations(spec.k):
-        w = tuple(eps * u[src] for src, eps in image)
-        if naive:
-            term = count_unconstrained(spec, w, v, n)
-        elif lockstep:
-            term = _lockstep_unconstrained(tuple(b - a for a, b in zip(w, v)), n)
-        else:
-            term = dist.get(tuple(b - a for a, b in zip(w, v)), 0)
-        total += sign * term
+        total += sign * term(image)
     return total
 
 
@@ -211,8 +248,7 @@ def _chamber_state_bound(spec: CompositeSpec, u: Sequence[int], n: int) -> int:
     return math.comb(box, spec.k)
 
 
-def _confined_atomic_step(spec: CompositeSpec, frontier: dict,
-                          steps: Sequence[tuple[int, ...]]) -> dict:
+def _confined_atomic_step(frontier: dict, steps: Sequence[tuple[int, ...]]) -> dict:
     out: dict = {}
     for point, mass in frontier.items():
         for step in steps:
@@ -233,7 +269,7 @@ def _confined_composite_step(spec: CompositeSpec, frontier: dict,
     layer = frontier
     for m, w in enumerate(weights):
         if m > 0:
-            layer = _confined_atomic_step(spec, layer, steps)
+            layer = _confined_atomic_step(layer, steps)
         if w:
             for point, mass in layer.items():
                 acc[point] = acc.get(point, zero) + w * mass
@@ -243,6 +279,7 @@ def _confined_composite_step(spec: CompositeSpec, frontier: dict,
 def _confined_frontier(spec: CompositeSpec, u: Sequence[int], n: int,
                        state_budget: int) -> dict:
     u = check_chamber_point(spec, u)
+    _check_length(n)
     if _chamber_state_bound(spec, u, n) > state_budget:
         raise ResourceBudgetError(
             f"reachable state bound exceeds budget of {state_budget} states")
@@ -274,13 +311,37 @@ def count_confined_free(spec: CompositeSpec, u: Sequence[int], n: int,
 
 
 def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
-    """Free-endpoint total via the signed sum, summed over reachable endpoints."""
+    """Free-endpoint total via the signed sum, over the end points a walk can reach.
+
+    Weights are nonnegative, so a confined count is at most the
+    unconstrained count; an end point that no unconstrained walk reaches
+    contributes 0 and is skipped.
+    """
     u = check_chamber_point(spec, u)
+    _check_length(n)
     box = max(u) + n * spec.degree
     total = 0
     for v in _chamber_points_upto(spec, box):
-        total += count_reflection(spec, u, v, n)
+        if _reachable(spec, u, v, n):
+            total += count_reflection(spec, u, v, n)
     return total
+
+
+def _reachable(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int) -> bool:
+    """False only when no unconstrained walk of n composite steps joins u to v.
+
+    One atomic step moves every coordinate by 1 (diagonal) or one coordinate
+    by 1 (axis), and a walk makes at most n*degree atomic steps.  When every
+    weighted atomic length has one parity, the number of atomic steps has
+    the parity of n times it.
+    """
+    gaps = [abs(b - a) for a, b in zip(u, v)]
+    # coordinates of a diagonal-lattice point share one parity, so gaps[0] carries it
+    span, moved = (max(gaps), gaps[0]) if spec.kind is AtomicKind.DIAGONAL \
+        else (sum(gaps), sum(gaps))
+    if span > n * spec.degree:
+        return False
+    return spec.parity is None or moved % 2 == n * spec.parity % 2
 
 
 def _chamber_points_upto(spec: CompositeSpec, bound: int) -> Iterator[tuple[int, ...]]:

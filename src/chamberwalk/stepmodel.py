@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class AtomicKind(Enum):
@@ -65,6 +65,12 @@ class CompositeSpec:
     def degree(self) -> int:
         """Largest atomic length d with w_d > 0."""
         return len(self.weights) - 1
+
+    @property
+    def parity(self) -> Optional[int]:
+        """0 if every m with w_m > 0 is even, 1 if every such m is odd, None if mixed."""
+        parities = {m % 2 for m, w in enumerate(self.weights) if w > 0}
+        return parities.pop() if len(parities) == 1 else None
 
     @property
     def integer_weights(self) -> bool:

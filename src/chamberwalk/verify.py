@@ -132,7 +132,8 @@ def suite_schur(seed: int) -> list[dict]:
     records = []
     for k in (1, 2, 3):
         for c in (0, 1, 2):
-            t = _distinct_fractions(rng, k, positive=True)
+            # t_j = 1 zeroes the character ratio's denominator
+            t = _distinct_fractions(rng, k, positive=True, avoid_unit=True)
             records.append(detlab.schur_orthogonal_identity_check(t, c).to_json())
     return records
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from click.testing import CliRunner
 
 from chamberwalk.cli import main
@@ -50,6 +52,14 @@ class TestCount:
                   "--u", "1", "--v", "1,2", "--n", "2")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("method", ["dp", "reflection", "both"])
+    @pytest.mark.parametrize("n_text", ["-1", "-2:4:2"])
+    def test_negative_length_exit_2(self, method, n_text):
+        res = run("count", "--kind", "axis", "--k", "2", "--weights", "1,1,1",
+                  "--u", "1,2", "--v", "1,3", "--n", n_text, "--method", method)
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert "walk length n must be >= 0" in res.output
+
     def test_resource_error_exit_3(self):
         res = run("count", "--kind", "axis", "--k", "3", "--weights", "0,1",
                   "--u", "1,2,3", "--v", "1,2,3", "--n", "1000000")
@@ -97,6 +107,13 @@ class TestCompare:
         assert res.exit_code == 2
 
 
+    def test_negative_grid_exit_2(self):
+        res = run("compare", "--kind", "axis", "--k", "1", "--weights", "0,1",
+                  "--u", "1", "--v", "1", "--grid", "-4:8:4")
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert "walk length n must be >= 0" in res.output
+
+
 class TestPreset:
     def test_watermelon(self):
         res = run("preset", "watermelon", "--k", "2", "--n", "10")
@@ -104,6 +121,12 @@ class TestPreset:
         assert rec["count"] == "37975756"
         assert rec["steps"] == 20
         assert 0 < rec["ratio"] < 2
+
+    def test_negative_length_exit_2(self):
+        res = run("preset", "random-turns-fixed", "--k", "2", "--n", "-3",
+                  "--u", "1,2", "--v", "1,2")
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert "walk length n must be >= 0" in res.output
 
     def test_unknown_preset_exit_2(self):
         res = run("preset", "pineapple", "--k", "2", "--n", "10")
@@ -120,19 +143,13 @@ class TestVerify:
         res = run("verify", "--suite", "nonsense", "--seed", "7")
         assert res.exit_code == 2
 
+    def test_schur_passes_at_every_seed(self):
+        for seed in range(12):
+            res = run("verify", "--suite", "schur", "--seed", str(seed))
+            assert res.exit_code == 0, (seed, res.output)
+            assert json.loads(res.output)["pass"] is True
+
     def test_deterministic_output(self):
         args = ("verify", "--suite", "det,dsin", "--seed", "3")
         assert run(*args).output == run(*args).output
 
-
-class TestEnvironment:
-    def test_chamber_threads_accepted(self):
-        res = run("count", "--kind", "diagonal", "--k", "1", "--weights", "0,1",
-                  "--u", "1", "--v", "1", "--n", "4", env={"CHAMBER_THREADS": "4"})
-        assert res.exit_code == 0
-        assert json.loads(res.output)["count"] == "2"
-
-    def test_chamber_threads_invalid(self):
-        res = run("count", "--kind", "diagonal", "--k", "1", "--weights", "0,1",
-                  "--u", "1", "--v", "1", "--n", "4", env={"CHAMBER_THREADS": "lots"})
-        assert res.exit_code == 2

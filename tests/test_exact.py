@@ -130,6 +130,86 @@ def test_reflection_equals_confined(kind, k, weights, n, data):
         == exact.count_confined(spec, tuple(u), v, n)
 
 
+# named weight lists: lock-step, mixed degree, w_0 > 0, rational, one parity
+WEIGHT_LISTS = ["0,1", "0,1,1", "1,0,2", "1/2,1/3", "1,1", "0,0,1", "1,0,1", "0,1,0,1",
+                "2/3,0,1/5"]
+
+
+def _spec(kind, k, weights):
+    return CompositeSpec(kind, k, [Fraction(w) for w in weights.split(",")])
+
+
+def _chamber_point(data, kind, k):
+    stride = 2 if kind is AtomicKind.DIAGONAL else 1
+    point = [data.draw(st.integers(1, 4))]
+    for gap in data.draw(st.lists(st.integers(1, 2), min_size=k - 1, max_size=k - 1)):
+        point.append(point[-1] + stride * gap)
+    return tuple(point)
+
+
+@settings(deadline=None, max_examples=60)
+@given(weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 3), n=st.integers(0, 12),
+       data=st.data())
+def test_diagonal_kernel_matches_dp_and_convolution(weights, k, n, data):
+    spec = _spec(AtomicKind.DIAGONAL, k, weights)
+    u = _chamber_point(data, AtomicKind.DIAGONAL, k)
+    v = _chamber_point(data, AtomicKind.DIAGONAL, k)
+    assert exact.count_reflection(spec, u, v, n) == exact.count_confined(spec, u, v, n)
+    if n <= 6:
+        delta = tuple(b - a for a, b in zip(u, v))
+        assert exact.count_unconstrained(spec, u, v, n) \
+            == exact.displacement_distribution(spec, n).get(delta, 0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(kind=st.sampled_from([AtomicKind.AXIS, AtomicKind.DIAGONAL]),
+       weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 3), n=st.integers(0, 7),
+       data=st.data())
+def test_reflection_free_equals_confined_free(kind, weights, k, n, data):
+    if kind is AtomicKind.AXIS:
+        k, n = min(k, 2), min(n, 5)
+    spec = _spec(kind, k, weights)
+    u = _chamber_point(data, kind, k)
+    assert exact.count_reflection_free(spec, u, n) == exact.count_confined_free(spec, u, n)
+
+
+@pytest.mark.parametrize("kind,k,weights,u", [
+    (AtomicKind.DIAGONAL, 2, "0,1", (1, 3)),
+    (AtomicKind.DIAGONAL, 2, "0,0,1", (2, 4)),
+    (AtomicKind.DIAGONAL, 3, "1,1", (1, 3, 7)),
+    (AtomicKind.AXIS, 2, "0,1", (1, 4)),
+    (AtomicKind.AXIS, 2, "1,0,1", (2, 3)),
+    (AtomicKind.AXIS, 3, "0,1,1", (1, 2, 4)),
+])
+def test_endpoint_filter(kind, k, weights, u):
+    """Rejected end points have DP count 0; on these models every kept one is reachable."""
+    spec = _spec(kind, k, weights)
+    for n in range(6):
+        frontier = exact._confined_frontier(spec, u, n, exact.DEFAULT_STATE_BUDGET)
+        rejected = []
+        for v in exact._chamber_points_upto(spec, max(u) + n * spec.degree):
+            if exact._reachable(spec, u, v, n):
+                assert exact.count_unconstrained(spec, u, v, n) != 0
+            else:
+                assert frontier.get(v, 0) == 0
+                rejected.append(v)
+        if n and spec.parity is not None:
+            assert rejected
+
+
+@pytest.mark.parametrize("count", [
+    lambda spec: exact.count_confined(spec, (1, 3), (1, 3), -1),
+    lambda spec: exact.count_confined_free(spec, (1, 3), -1),
+    lambda spec: exact.count_reflection(spec, (1, 3), (1, 3), -1),
+    lambda spec: exact.count_reflection_free(spec, (1, 3), -1),
+    lambda spec: exact.count_unconstrained(spec, (1, 3), (1, 3), -1),
+])
+@pytest.mark.parametrize("kind", [AtomicKind.AXIS, AtomicKind.DIAGONAL])
+def test_negative_length_rejected(count, kind):
+    with pytest.raises(ValueError, match="walk length"):
+        count(CompositeSpec(kind, 2, [1, 1, 1]))
+
+
 def test_budget_guard():
     spec = CompositeSpec(AtomicKind.AXIS, 3, [0, 1])
     with pytest.raises(exact.ResourceBudgetError):
