@@ -185,7 +185,7 @@ def mixed_vandermonde_det(u: Sequence[Fraction], a: int) -> Fraction:
     """Determinant with alternating-sign top block; nonzero for increasing u.
 
     Rows j <= a carry entries (-1)^m u_m^(j-1), rows j > a carry
-    u_m^(j-a-1).  The nonzero claim is asserted.
+    u_m^(j-a-1).  A zero value raises ``ArithmeticError``.
     """
     u = [Fraction(x) for x in u]
     k = len(u)
@@ -200,7 +200,8 @@ def mixed_vandermonde_det(u: Sequence[Fraction], a: int) -> Fraction:
         else:
             rows.append([u[m - 1] ** (j - a - 1) for m in range(1, k + 1)])
     value = det_exact(rows)
-    assert value != 0
+    if value == 0:
+        raise ArithmeticError("mixed Vandermonde determinant vanished")
     return value
 
 

@@ -11,9 +11,10 @@ Three independent exact routes are provided:
 Unconstrained coefficients use S = P(A):
 [z^d]S^n = sum_m [x^m]P(x)^n * [z^d]A^m.  For the diagonal kind
 [z^d]A^m = prod_j C(m, (m + d_j)/2) is a closed form, shared by every
-diagonal model; the axis kind still reads its coefficients off a
-displacement table built by sparse convolution.  Free-endpoint sums by
-reflection visit only the end points an unconstrained walk can reach.
+diagonal model; the axis kind adds the atomic layers A^m, stepped forward
+by sparse convolution, into one displacement table.  Both kinds take
+[x^m]P(x)^n from one expansion.  Free-endpoint sums by reflection visit
+only the end points an unconstrained walk can reach.
 
 All arithmetic is exact: Python ints when every weight is an integer,
 ``Fraction`` otherwise.  Confinement is atomic-strict: every intermediate
@@ -36,7 +37,6 @@ from chamberwalk.stepmodel import (
     check_chamber_point,
     in_chamber,
     lattice_contains,
-    s_one,
 )
 
 DEFAULT_STATE_BUDGET = 10 ** 7
@@ -81,48 +81,6 @@ def _convolve(dist: dict, steps: Sequence[tuple[int, ...]]) -> dict:
     return out
 
 
-def composite_step_distribution(spec: CompositeSpec) -> dict:
-    """Displacement distribution of one composite step: D = sum_m w_m A^(*m)."""
-    steps = atomic_displacements(spec)
-    weights = _weight_values(spec)
-    zero = weights[0] * 0
-    acc: dict = {}
-    layer = {tuple([0] * spec.k): weights[0] * 0 + 1}
-    for m, w in enumerate(weights):
-        if m > 0:
-            layer = _convolve(layer, steps)
-        if w:
-            for point, mass in layer.items():
-                acc[point] = acc.get(point, zero) + w * mass
-    return acc
-
-
-_DIST_CACHE: dict = {}
-
-
-def displacement_distribution(spec: CompositeSpec, n: int) -> dict:
-    """Distribution of the n-composite-step displacement, computed once and cached."""
-    key = (spec.kind, spec.k, spec.weights, n)
-    if key in _DIST_CACHE:
-        return _DIST_CACHE[key]
-    if n == 0:
-        dist = {tuple([0] * spec.k): 1}
-    else:
-        prev = displacement_distribution(spec, n - 1)
-        one = composite_step_distribution(spec)
-        dist = {}
-        for point, mass in prev.items():
-            for step, w in one.items():
-                key2 = tuple(p + s for p, s in zip(point, step))
-                add = mass * w
-                if key2 in dist:
-                    dist[key2] += add
-                else:
-                    dist[key2] = add
-    _DIST_CACHE[key] = dist
-    return dist
-
-
 @functools.lru_cache(maxsize=16)
 def _weight_power(weights: tuple[Fraction, ...], n: int) -> tuple[tuple[int, ...], tuple]:
     """The atomic lengths m with [x^m]P(x)^n != 0, and those coefficients.
@@ -144,6 +102,27 @@ def _weight_power(weights: tuple[Fraction, ...], n: int) -> tuple[tuple[int, ...
         coeffs.append(divide(acc, i * q[0]))
     support = [(n * a + i, c) for i, c in enumerate(coeffs) if c]
     return tuple(m for m, _ in support), tuple(c for _, c in support)
+
+
+@functools.lru_cache(maxsize=16)
+def _displacement_table(spec: CompositeSpec, n: int) -> dict:
+    """[z^d]S^n for every displacement d: sum_m [x^m]P(x)^n * [z^d]A^m.
+
+    The atomic layers A^m hold plain ints; each weighted length adds its
+    layer to the table once, scaled by its coefficient of P(x)^n.
+    """
+    lengths, coeffs = _weight_power(spec.weights, n)
+    steps = atomic_displacements(spec)
+    layer = {(0,) * spec.k: 1}
+    table: dict = {}
+    m = 0
+    for length, c in zip(lengths, coeffs):
+        while m < length:
+            layer = _convolve(layer, steps)
+            m += 1
+        for point, mass in layer.items():
+            table[point] = table.get(point, 0) + c * mass
+    return table
 
 
 def _binomial_row(lengths: Sequence[int], d: int) -> tuple[int, ...]:
@@ -172,7 +151,7 @@ def count_unconstrained(spec: CompositeSpec, u: Sequence[int], v: Sequence[int],
     _check_length(n)
     delta = tuple(b - a for a, b in zip(u, v))
     if spec.kind is AtomicKind.AXIS:
-        return displacement_distribution(spec, n).get(delta, 0)
+        return _displacement_table(spec, n).get(delta, 0)
     lengths, coeffs = _weight_power(spec.weights, n)
     rows = [_binomial_row(lengths, d) for d in delta]
     return sum(map(math.prod, zip(coeffs, *rows)))
@@ -208,26 +187,21 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def count_reflection(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int,
-                     naive: bool = False):
+def count_reflection(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int):
     """Signed sum over signed permutations of unconstrained counts.
 
-    With ``naive=False`` the diagonal kind multiplies per-call rows of the
-    2k^2 one-dimensional displacements v_j - eps*u_i, and the axis kind reads
-    a single displacement table; the naive mode recomputes every term
-    through ``count_unconstrained`` and is kept for differential testing.
+    Both kinds take [x^m]P(x)^n from ``_weight_power``.  The diagonal kind
+    multiplies per-call rows of the 2k^2 one-dimensional displacements
+    v_j - eps*u_i; the axis kind reads one displacement table.
     """
     u = check_chamber_point(spec, u)
     v = check_chamber_point(spec, v)
     _check_length(n)
-    if naive:
-        def term(image):
-            return count_unconstrained(spec, [eps * u[src] for src, eps in image], v, n)
-    elif spec.kind is AtomicKind.AXIS:
-        dist = displacement_distribution(spec, n)
+    if spec.kind is AtomicKind.AXIS:
+        table = _displacement_table(spec, n)
 
         def term(image):
-            return dist.get(tuple(b - eps * u[src] for b, (src, eps) in zip(v, image)), 0)
+            return table.get(tuple(b - eps * u[src] for b, (src, eps) in zip(v, image)), 0)
     else:
         lengths, coeffs = _weight_power(spec.weights, n)
         # rows[j][(i, eps)] holds [z^(v_j - eps*u_i)](z + 1/z)^m over the lengths m

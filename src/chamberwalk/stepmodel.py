@@ -201,8 +201,8 @@ def gaussian_expansion(spec: CompositeSpec) -> GaussianExpansion:
         p, dp, ddp = spec.poly(x), spec.poly_deriv(x), spec.poly_deriv2(x)
         lam = 2 * dp / p
         omega = 4 * ddp / p ** 2 - lam ** 2
-        # internal consistency: lam must equal S''(1,..,1)/S(1,..,1)
-        assert lam == s_second_derivative_one(spec) / s_one(spec)
+        if lam != s_second_derivative_one(spec) / s_one(spec):
+            raise ArithmeticError("Lambda differs from S''(1,..,1)/S(1,..,1)")
         return GaussianExpansion(lam=lam, omega=omega, psi=lam, omega_psi_validated=True)
     xk = Fraction(2 ** spec.k)
     p, dp = spec.poly(xk), spec.poly_deriv(xk)

@@ -49,19 +49,19 @@ def random_fraction(rng: random.Random, lo: int = -9, hi: int = 9) -> Fraction:
     return Fraction(num, den)
 
 
-def _preset_instances(k: int):
+def preset_instances(k: int) -> list:
+    """Every preset at dimension k; the walks that need end points start at the wall."""
+    instances = []
     for name in presets.PRESET_NAMES:
+        u = tuple(range(1, k + 1)) if name.startswith("random-turns") \
+            else tuple(2 * j - 1 for j in range(1, k + 1))
         if name in ("lock-step-fixed", "random-turns-fixed"):
-            spec = presets._spec_for(name, k)
-            u = tuple(range(1, k + 1)) if name == "random-turns-fixed" \
-                else tuple(2 * j - 1 for j in range(1, k + 1))
-            yield presets.preset_spec(name, k, u=u, v=u)
+            instances.append(presets.preset_spec(name, k, u=u, v=u))
         elif name in ("lock-step-free", "random-turns-free"):
-            u = tuple(range(1, k + 1)) if name == "random-turns-free" \
-                else tuple(2 * j - 1 for j in range(1, k + 1))
-            yield presets.preset_spec(name, k, u=u)
+            instances.append(presets.preset_spec(name, k, u=u))
         else:
-            yield presets.preset_spec(name, k)
+            instances.append(presets.preset_spec(name, k))
+    return instances
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,7 @@ def suite_oracle(seed: int) -> list[dict]:
     rng = random.Random(seed)
     records = []
     for k in (1, 2):
-        for inst in _preset_instances(k):
+        for inst in preset_instances(k):
             spec = inst.spec
             for _ in range(3):
                 u = random_chamber_point(rng, spec)
@@ -176,7 +176,7 @@ def suite_signs(seed: int) -> list[dict]:
     rng = random.Random(seed)
     records = []
     for k in (1, 2, 3):
-        for inst in _preset_instances(k):
+        for inst in preset_instances(k):
             spec = inst.spec
             u = random_chamber_point(rng, spec)
             for eps in maximal_points(spec):
@@ -193,7 +193,7 @@ def suite_consistency(seed: int) -> list[dict]:
     """Preset formulas against the general evaluators, relative 1e-10 in log."""
     records = []
     for k in (1, 2, 3, 4):
-        for inst in _preset_instances(k):
+        for inst in preset_instances(k):
             for n in (10, 100, 1000):
                 specialized = presets.preset_asym(inst, n)
                 steps = inst.steps(n)

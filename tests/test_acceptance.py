@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from chamberwalk import asym, detlab, exact, presets
-from chamberwalk.verify import _preset_instances, random_chamber_point
+from chamberwalk.verify import preset_instances, random_chamber_point
 
 SEED = 20260824
 
@@ -29,7 +29,7 @@ def test_01_oracle_equivalence():
     ok = True
     for k in (1, 2, 3):
         n_max = 16 if k == 1 else 10
-        for inst in _preset_instances(k):
+        for inst in preset_instances(k):
             spec = inst.spec
             for _ in range(10):
                 u = random_chamber_point(rng, spec)
@@ -81,7 +81,7 @@ def test_05_preset_consistency():
     worst = 0.0
     count = 0
     for k in (1, 2, 3, 4):
-        for inst in _preset_instances(k):
+        for inst in preset_instances(k):
             for n in (10, 100, 1000):
                 special = presets.preset_asym(inst, n)
                 if not special.supported:
@@ -147,7 +147,7 @@ def test_07_determinant_asymptotics():
     # maximal-point sign identity across all presets
     rng = random.Random(SEED)
     for k in (1, 2, 3):
-        for inst in _preset_instances(k):
+        for inst in preset_instances(k):
             u = random_chamber_point(rng, inst.spec)
             from chamberwalk.stepmodel import maximal_points
             for eps in maximal_points(inst.spec):

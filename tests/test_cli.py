@@ -1,6 +1,7 @@
 """CLI contract: commands, output formats, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -59,6 +60,13 @@ class TestCount:
                   "--u", "1,2", "--v", "1,3", "--n", n_text, "--method", method)
         assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
         assert "walk length n must be >= 0" in res.output
+
+    def test_deep_axis_reflection(self):
+        res = run("count", "--kind", "axis", "--k", "1", "--weights", "0,1",
+                  "--u", "1", "--v", "1", "--n", "1200", "--method", "reflection")
+        assert res.exit_code == 0 and res.exception is None
+        assert "Traceback" not in res.output
+        assert json.loads(res.output)["count"] == str(math.comb(1200, 600) // 601)
 
     def test_resource_error_exit_3(self):
         res = run("count", "--kind", "axis", "--k", "3", "--weights", "0,1",

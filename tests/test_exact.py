@@ -1,5 +1,6 @@
 """Exact counting: DP oracle, reflection sum, unconstrained coefficients."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,6 +15,51 @@ RT_1 = CompositeSpec(AtomicKind.AXIS, 1, [0, 1])
 TANGLED_1 = CompositeSpec(AtomicKind.AXIS, 1, [1, 1, 1])
 
 CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430]
+
+
+def _shift_sum(dist, steps):
+    """sum over (step, weight) in steps of weight * (dist shifted by step)."""
+    out = {}
+    for point, mass in dist.items():
+        for step, w in steps:
+            key = tuple(p + s for p, s in zip(point, step))
+            out[key] = out.get(key, 0) + w * mass
+    return out
+
+
+def _composite_step(spec):
+    """The composite step's displacements and weights: sum_m w_m A^m."""
+    if spec.kind is AtomicKind.AXIS:
+        atomic = [tuple(s * (i == j) for i in range(spec.k))
+                  for j in range(spec.k) for s in (1, -1)]
+    else:
+        atomic = list(itertools.product((1, -1), repeat=spec.k))
+    one, layer = {}, {(0,) * spec.k: 1}
+    for w in spec.weights:
+        # integer weights as ints: Fraction masses would make the oracle slow
+        w = int(w) if w.denominator == 1 else w
+        for point, mass in layer.items():
+            one[point] = one.get(point, 0) + w * mass
+        layer = _shift_sum(layer, [(step, 1) for step in atomic])
+    return list(one.items())
+
+
+# spec -> [S^0, S^1, ...] as displacement dicts, extended one convolution at a time
+_POWERS: dict = {}
+
+
+def _composite_convolution(spec, n):
+    """[z^d]S^n for every d, convolving the whole composite step n times."""
+    powers = _POWERS.setdefault(spec, [{(0,) * spec.k: 1}])
+    while len(powers) <= n:
+        powers.append(_shift_sum(powers[-1], _composite_step(spec)))
+    return powers[n]
+
+
+def _naive_reflection(spec, u, v, n):
+    """The signed sum term by term, one count_unconstrained call per signed permutation."""
+    return sum(sign * exact.count_unconstrained(spec, [eps * u[src] for src, eps in image], v, n)
+               for image, sign in exact.signed_permutations(spec.k))
 
 
 class TestClassicalSequences:
@@ -77,9 +123,11 @@ class TestUnconstrained:
 
     def test_row_sums_equal_total_mass(self):
         spec = CompositeSpec(AtomicKind.AXIS, 2, [1, 1, 1])
-        dist = exact.displacement_distribution(spec, 3)
-        # total mass is S(1,...,1)^n = 21^3
-        assert sum(dist.values()) == 21 ** 3
+        box = range(-7, 8)
+        total = sum(exact.count_unconstrained(spec, (0, 0), v, 3)
+                    for v in itertools.product(box, box))
+        # total mass is S(1,...,1)^n = 21^3, and every displacement has |d|_1 <= 3*2
+        assert total == 21 ** 3
 
     def test_off_lattice_rejected(self):
         spec = CompositeSpec(AtomicKind.DIAGONAL, 2, [0, 1])
@@ -87,10 +135,10 @@ class TestUnconstrained:
             exact.count_unconstrained(spec, (1, 3), (1, 2), 2)
 
     def test_naive_matches_fast(self):
-        spec = CompositeSpec(AtomicKind.AXIS, 2, [0, 1, 1])
-        for n in range(5):
-            assert exact.count_reflection(spec, (1, 2), (2, 3), n, naive=True) \
-                == exact.count_reflection(spec, (1, 2), (2, 3), n)
+        for spec, u, v in [(CompositeSpec(AtomicKind.AXIS, 2, [0, 1, 1]), (1, 2), (2, 3)),
+                           (CompositeSpec(AtomicKind.DIAGONAL, 2, [1, 0, 2]), (1, 3), (3, 5))]:
+            for n in range(5):
+                assert _naive_reflection(spec, u, v, n) == exact.count_reflection(spec, u, v, n)
 
 
 class TestSignedPermutations:
@@ -147,18 +195,38 @@ def _chamber_point(data, kind, k):
     return tuple(point)
 
 
-@settings(deadline=None, max_examples=60)
-@given(weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 3), n=st.integers(0, 12),
-       data=st.data())
-def test_diagonal_kernel_matches_dp_and_convolution(weights, k, n, data):
-    spec = _spec(AtomicKind.DIAGONAL, k, weights)
-    u = _chamber_point(data, AtomicKind.DIAGONAL, k)
-    v = _chamber_point(data, AtomicKind.DIAGONAL, k)
+def _check_kernel(kind, weights, k, n, data):
+    """Reflection equals the DP; at n <= 6 the kernel equals the composite convolution."""
+    spec = _spec(kind, k, weights)
+    u = _chamber_point(data, kind, k)
+    v = _chamber_point(data, kind, k)
     assert exact.count_reflection(spec, u, v, n) == exact.count_confined(spec, u, v, n)
     if n <= 6:
         delta = tuple(b - a for a, b in zip(u, v))
         assert exact.count_unconstrained(spec, u, v, n) \
-            == exact.displacement_distribution(spec, n).get(delta, 0)
+            == _composite_convolution(spec, n).get(delta, 0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 3), n=st.integers(0, 12),
+       data=st.data())
+def test_diagonal_kernel_matches_dp_and_convolution(weights, k, n, data):
+    _check_kernel(AtomicKind.DIAGONAL, weights, k, n, data)
+
+
+@settings(deadline=None, max_examples=60)
+@given(weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 3), n=st.integers(0, 6),
+       data=st.data())
+def test_axis_kernel_matches_dp_and_convolution(weights, k, n, data):
+    _check_kernel(AtomicKind.AXIS, weights, k, n, data)
+
+
+def test_deep_axis_reflection():
+    """The axis table takes no recursion per step: n above the default recursion limit."""
+    n = 1100
+    catalan = math.comb(n, n // 2) // (n // 2 + 1)
+    assert exact.count_reflection(RT_1, (1,), (1,), n) \
+        == exact.count_reflection(LOCKSTEP_1, (1,), (1,), n) == catalan
 
 
 @settings(deadline=None, max_examples=40)
