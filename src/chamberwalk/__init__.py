@@ -8,8 +8,8 @@ model sit
 
 * ``exact``     -- exact counts (confined dynamic programming, reflection
                    signed sums, plain coefficient extraction),
-* ``asym``      -- closed-form asymptotic evaluators and convergence
-                   diagnostics,
+* ``asym``      -- closed-form leading-order asymptotic evaluators and
+                   convergence diagnostics,
 * ``detlab``    -- exact and numeric checks of the supporting determinant,
                    character and Selberg-integral identities,
 * ``presets``   -- the classical named models (watermelon, star, random

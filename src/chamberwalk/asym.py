@@ -13,11 +13,6 @@ and the free-endpoint formula is
 
 with Lam = S''(1,...,1)/S(1,...,1).  Everything is evaluated in log space;
 S(1)^n overflows any fixed-width float already for modest n.
-
-The printed second-order factor (1 + 1/(n*Lam)) of the fixed-endpoint
-formula is inconsistent with the empirical k=1 benchmark (which gives a
-second-order coefficient of -9/4, not +1), so the correction is exposed
-behind a flag that defaults to off; only leading terms are validated.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from chamberwalk.stepmodel import (
     AtomicKind,
     CompositeSpec,
     check_chamber_point,
-    gaussian_expansion,
+    curvature,
     maximal_points,
     s_one,
 )
@@ -48,7 +43,6 @@ class AsymptoticEstimate:
     base_log: float             # n * log S(1)
     n_power: Fraction           # exponent of n (negative)
     constant_log: float         # everything independent of n
-    correction_applied: bool
     supported: bool
 
     @property
@@ -134,15 +128,15 @@ def _squared_difference_product(u: Sequence[int]) -> int:
 # evaluators
 
 
-def asym_fixed(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int,
-               correction: bool = False) -> AsymptoticEstimate:
+def asym_fixed(spec: CompositeSpec, u: Sequence[int], v: Sequence[int],
+               n: int) -> AsymptoticEstimate:
     """Leading-order estimate of the confined count with both endpoints fixed."""
     if n < 1:
         raise ValueError("n must be >= 1")
     u = check_chamber_point(spec, u)
     v = check_chamber_point(spec, v)
     k = spec.k
-    lam = gaussian_expansion(spec).lam
+    lam = curvature(spec)
     n_power = -Fraction(2 * k * k + k, 2)
     base_log = n * log_exact(s_one(spec))
     endpoint = _squared_difference_product(u) * _squared_difference_product(v)
@@ -157,13 +151,10 @@ def asym_fixed(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int,
     )
     supported = support_positive(spec, u, v, n)
     log_value = base_log + float(n_power) * math.log(n) + constant_log
-    if correction:
-        log_value += math.log1p(1 / (n * float(lam)))
     if not supported:
         log_value = math.nan
     return AsymptoticEstimate(log_value=log_value, base_log=base_log, n_power=n_power,
-                              constant_log=constant_log, correction_applied=correction,
-                              supported=supported)
+                              constant_log=constant_log, supported=supported)
 
 
 def asym_free(spec: CompositeSpec, u: Sequence[int], n: int) -> AsymptoticEstimate:
@@ -172,7 +163,7 @@ def asym_free(spec: CompositeSpec, u: Sequence[int], n: int) -> AsymptoticEstima
         raise ValueError("n must be >= 1")
     u = check_chamber_point(spec, u)
     k = spec.k
-    lam = gaussian_expansion(spec).lam
+    lam = curvature(spec)
     n_power = -Fraction(k * k, 2)
     base_log = n * log_exact(s_one(spec))
     endpoint = _squared_difference_product(u)
@@ -187,8 +178,7 @@ def asym_free(spec: CompositeSpec, u: Sequence[int], n: int) -> AsymptoticEstima
     )
     log_value = base_log + float(n_power) * math.log(n) + constant_log
     return AsymptoticEstimate(log_value=log_value, base_log=base_log, n_power=n_power,
-                              constant_log=constant_log, correction_applied=False,
-                              supported=True)
+                              constant_log=constant_log, supported=True)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +186,7 @@ def asym_free(spec: CompositeSpec, u: Sequence[int], n: int) -> AsymptoticEstima
 
 
 def compare_series(spec: CompositeSpec, u: Sequence[int], v: Optional[Sequence[int]],
-                   n_grid: Sequence[int], correction: bool = False) -> ConvergenceReport:
+                   n_grid: Sequence[int]) -> ConvergenceReport:
     """Exact counts against the asymptotic estimate over a grid of lengths.
 
     ``v=None`` selects the free-endpoint comparison.  Grid points with a
@@ -210,7 +200,7 @@ def compare_series(spec: CompositeSpec, u: Sequence[int], v: Optional[Sequence[i
             est = asym_free(spec, u, n)
         else:
             cnt = exact.count_reflection(spec, u, v, n)
-            est = asym_fixed(spec, u, v, n, correction=correction)
+            est = asym_fixed(spec, u, v, n)
         if cnt <= 0:
             continue
         exact_log = log_exact(cnt)

@@ -140,11 +140,9 @@ def cmd_count(kind: str, k: int, weights: str, u_text: str, v_text: Optional[str
 @main.command("asym")
 @_model_options
 @click.option("--n", "n_value", type=int, required=True)
-@click.option("--correction", type=click.Choice(["on", "off"]), default="off",
-              show_default=True)
 def cmd_asym(kind: str, k: int, weights: str, u_text: str, v_text: Optional[str],
-             n_value: int, correction: str) -> None:
-    """Closed-form asymptotic estimate as a single JSON record."""
+             n_value: int) -> None:
+    """Leading-order asymptotic estimate as a single JSON record."""
     spec = _build_spec(kind, k, weights)
     u = _parse_point(u_text, k, "u")
     try:
@@ -152,11 +150,11 @@ def cmd_asym(kind: str, k: int, weights: str, u_text: str, v_text: Optional[str]
             est = asym.asym_free(spec, u, n_value)
         else:
             v = _parse_point(v_text, k, "v")
-            est = asym.asym_fixed(spec, u, v, n_value, correction=correction == "on")
+            est = asym.asym_fixed(spec, u, v, n_value)
     except ValueError as err:
         raise click.UsageError(str(err))
     record = {"kind": kind, "k": k, "u": list(u), "n": n_value,
-              "supported": est.supported, "correction": correction == "on"}
+              "supported": est.supported}
     if v_text is not None:
         record["v"] = list(_parse_point(v_text, k, "v"))
     if est.supported:
@@ -169,19 +167,16 @@ def cmd_asym(kind: str, k: int, weights: str, u_text: str, v_text: Optional[str]
 @main.command("compare")
 @_model_options
 @click.option("--grid", required=True, help="Lengths as start:stop:step.")
-@click.option("--correction", type=click.Choice(["on", "off"]), default="off",
-              show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
 def cmd_compare(kind: str, k: int, weights: str, u_text: str, v_text: Optional[str],
-                grid: str, correction: str, fmt: str) -> None:
+                grid: str, fmt: str) -> None:
     """Exact-vs-asymptotic convergence table with a fitted decay slope."""
     spec = _build_spec(kind, k, weights)
     u = _parse_point(u_text, k, "u")
     v = _parse_point(v_text, k, "v") if v_text is not None else None
     try:
-        report = asym.compare_series(spec, u, v, _parse_n_values(grid),
-                                     correction=correction == "on")
+        report = asym.compare_series(spec, u, v, _parse_n_values(grid))
     except exact.ResourceBudgetError as err:
         click.echo(str(err), err=True)
         sys.exit(EXIT_RESOURCE)

@@ -4,12 +4,14 @@ Exact identities (type-C determinant evaluation, the Schur / odd-orthogonal
 character summation, the symplectic quotient) are checked in rational
 arithmetic with residual exactly zero; half-integer powers are handled by
 the substitution z = t^2 so no real square root ever enters an exact path.
-The determinant asymptotics (sin kernel, Gaussian kernel) and the Selberg
-integrals are checked numerically in double precision.
+The determinant asymptotics (sin kernel, Gaussian kernel) are checked
+numerically in double precision, and the Selberg integrals by Gauss
+quadrature, which is exact for their polynomial integrands.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -295,56 +297,60 @@ def selberg_closed_form(k: int, weight: str) -> float:
     raise ValueError(f"unknown weight {weight!r}")
 
 
-def _squared_diff_prod(samples: np.ndarray) -> np.ndarray:
-    k = samples.shape[1]
-    out = np.ones(samples.shape[0])
+def _squared_diff_prod(points: np.ndarray) -> np.ndarray:
+    k = points.shape[1]
+    out = np.ones(points.shape[0])
     for j in range(k):
         for m in range(j + 1, k):
-            out *= (samples[:, m] - samples[:, j]) ** 2
+            out *= (points[:, m] - points[:, j]) ** 2
     return out
 
 
-def selberg_mc_check(k: int, weight: str, which: str, samples: int, seed: int) -> IdentityReport:
-    """Monte Carlo check of the Selberg closed forms and Aomoto ratios.
+def _gauss_rule(weight: str, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``size``-point Gauss rule for the Selberg weight.
 
-    Laguerre sampling uses iid unit-rate exponentials, Hermite sampling iid
-    standard Gaussians with the (2 pi)^(k/2) normalization reinstated.
-    The Laguerre closed form is the ordered-sector integral, smaller by k!
-    than the iid expectation over the full orthant, so the estimate is
-    divided by k!; the Hermite closed form is the full-space integral.
-    Pass iff the estimate lands within 3 standard errors of the target.
+    Hermite: exp(-x^2/2) on the real line.  Laguerre: x^(1/2) exp(-x) on
+    x > 0, by Golub-Welsch on the Jacobi matrix of the generalized Laguerre
+    polynomials with alpha = 1/2 (diagonal 2i + 3/2, off-diagonal
+    sqrt(i (i + 1/2))).  ``weight`` is one of the two, as checked by
+    ``selberg_closed_form``.
     """
-    if k > 3:
-        raise ValueError("k <= 3 required (variance guard)")
-    if samples < 10 ** 5:
-        raise ValueError("need at least 1e5 samples")
+    if weight == "hermite":
+        return np.polynomial.hermite_e.hermegauss(size)
+    i = np.arange(size)
+    jacobi = np.diag(2 * i + 1.5) + np.diag(np.sqrt(i[1:] * (i[1:] + 0.5)), -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    return nodes, math.gamma(1.5) * vectors[0] ** 2
+
+
+def selberg_check(k: int, weight: str, which: str) -> IdentityReport:
+    """Gauss-quadrature check of the Selberg closed forms and Aomoto ratios.
+
+    Each integrand is the Selberg weight times a polynomial of degree at
+    most 2k in every variable, so a tensor Gauss rule with k + 2 nodes per
+    axis evaluates it exactly up to rounding.  The Laguerre closed form is
+    the ordered-sector integral, smaller by k! than the full orthant; the
+    Hermite closed form is the full-space integral.  Pass iff the relative
+    error is at most 1e-12.
+    """
     if which not in ("one", "aomoto"):
         raise ValueError(f"unknown check {which!r}")
-    rng = np.random.default_rng(seed)
+    target = selberg_closed_form(k, weight)
+    nodes, weights = _gauss_rule(weight, k + 2)
+    x = np.array(list(itertools.product(nodes, repeat=k)))
+    mass = np.prod(np.array(list(itertools.product(weights, repeat=k))), axis=1)
+    g = _squared_diff_prod(x)
+    if which == "aomoto":
+        if weight == "laguerre":
+            g *= np.sum(x, axis=1)
+            target *= k * k + k / 2
+        else:
+            g *= np.sum(x * x, axis=1)
+            target *= k * k
+    estimate = float(mass @ g)
     if weight == "laguerre":
-        x = rng.exponential(scale=1.0, size=(samples, k))
-        g = np.sqrt(np.prod(x, axis=1)) * _squared_diff_prod(x)
-        if which == "aomoto":
-            g = g * np.sum(x, axis=1)
-            target = (k * k + k / 2) * selberg_closed_form(k, weight)
-        else:
-            target = selberg_closed_form(k, weight)
-        scale = 1.0 / math.factorial(k)
-    elif weight == "hermite":
-        x = rng.standard_normal(size=(samples, k))
-        g = _squared_diff_prod(x)
-        if which == "aomoto":
-            g = g * np.sum(x * x, axis=1)
-            target = k * k * selberg_closed_form(k, weight)
-        else:
-            target = selberg_closed_form(k, weight)
-        scale = (2 * math.pi) ** (k / 2)
-    else:
-        raise ValueError(f"unknown weight {weight!r}")
-    estimate = scale * float(np.mean(g))
-    stderr = scale * float(np.std(g, ddof=1)) / math.sqrt(samples)
+        estimate /= math.factorial(k)
     residual = estimate - target
     return IdentityReport(f"selberg-{weight}-{which}",
-                          {"k": k, "samples": samples, "seed": seed,
-                           "estimate": estimate, "target": target, "stderr": stderr},
-                          abs(residual) <= 3 * stderr, residual)
+                          {"k": k, "estimate": estimate, "target": target},
+                          abs(residual) <= 1e-12 * abs(target), residual)

@@ -43,7 +43,12 @@ DEFAULT_STATE_BUDGET = 10 ** 7
 
 
 class ResourceBudgetError(RuntimeError):
-    """The reachable state space exceeds the configured budget."""
+    """The estimated work of an exact route exceeds the configured budget."""
+
+
+def _check_budget(cost: int, what: str, budget: int = DEFAULT_STATE_BUDGET) -> None:
+    if cost > budget:
+        raise ResourceBudgetError(f"{what}: estimate {cost} exceeds budget of {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +116,13 @@ def _displacement_table(spec: CompositeSpec, n: int) -> dict:
     The atomic layers A^m hold plain ints; each weighted length adds its
     layer to the table once, scaled by its coefficient of P(x)^n.
     """
+    # A^m has at most sum_i 2^i C(k, i) C(m, i) points (those with |d|_1 <= m);
+    # over m <= N = n*degree that sums to sum_i 2^i C(k, i) C(N + 1, i + 1),
+    # and every point is moved by 2k steps
+    top = n * spec.degree
+    _check_budget(2 * spec.k * sum(2 ** i * math.comb(spec.k, i) * math.comb(top + 1, i + 1)
+                                   for i in range(spec.k + 1)),
+                  "displacement table updates")
     lengths, coeffs = _weight_power(spec.weights, n)
     steps = atomic_displacements(spec)
     layer = {(0,) * spec.k: 1}
@@ -254,9 +266,7 @@ def _confined_frontier(spec: CompositeSpec, u: Sequence[int], n: int,
                        state_budget: int) -> dict:
     u = check_chamber_point(spec, u)
     _check_length(n)
-    if _chamber_state_bound(spec, u, n) > state_budget:
-        raise ResourceBudgetError(
-            f"reachable state bound exceeds budget of {state_budget} states")
+    _check_budget(_chamber_state_bound(spec, u, n), "reachable chamber states", state_budget)
     steps = atomic_displacements(spec)
     weights = _weight_values(spec)
     frontier = {u: weights[0] * 0 + 1}
@@ -293,6 +303,7 @@ def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
     """
     u = check_chamber_point(spec, u)
     _check_length(n)
+    _check_budget(_chamber_state_bound(spec, u, n), "reachable end points")
     box = max(u) + n * spec.degree
     total = 0
     for v in _chamber_points_upto(spec, box):

@@ -126,7 +126,7 @@ def _free_endpoint_log(u: Sequence[int]) -> float:
     return out
 
 
-def preset_asym(instance: PresetInstance, n: int, correction: bool = False) -> AsymptoticEstimate:
+def preset_asym(instance: PresetInstance, n: int) -> AsymptoticEstimate:
     """Leading term of the preset's specialized asymptotic formula (log space)."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -134,7 +134,6 @@ def preset_asym(instance: PresetInstance, n: int, correction: bool = False) -> A
     name = instance.name
     u, v = instance.u, instance.v
     log2, logpi, logn = math.log(2), math.log(math.pi), math.log(n)
-    correction_term = 0.0
 
     odd = tuple(2 * j - 1 for j in range(1, k + 1))
 
@@ -143,7 +142,6 @@ def preset_asym(instance: PresetInstance, n: int, correction: bool = False) -> A
         base_log = n * k * log2
         constant_log = (3 * k / 2) * log2 - (k / 2) * logpi \
             + _fixed_endpoint_log(u, v) - _log_odd_factorials(k)
-        correction_term = math.log1p(1 / n)
     elif name == "watermelon":
         # n counts half-lengths: 2n composite steps
         n_power = -Fraction(2 * k * k + k, 2)
@@ -156,7 +154,6 @@ def preset_asym(instance: PresetInstance, n: int, correction: bool = False) -> A
             constant_log = (3 * k / 2) * log2 - (k / 2) * logpi \
                 + _fixed_endpoint_log(u, v) - _log_odd_factorials(k) \
                 + float(n_power) * math.log(2)
-        correction_term = math.log1p(1 / n)
     elif name == "lock-step-free":
         n_power = -Fraction(k * k, 2)
         base_log = n * k * log2
@@ -175,7 +172,6 @@ def preset_asym(instance: PresetInstance, n: int, correction: bool = False) -> A
         constant_log = log2 + (k / 2) * (log2 - logpi) \
             + (k * k + k / 2) * math.log(k) \
             + _fixed_endpoint_log(u, v) - _log_odd_factorials(k)
-        correction_term = math.log1p(k / n)
     elif name == "random-turns-free":
         # the exponent on k/n = S/(n S'') is k^2/2, as the k=1 central
         # binomial benchmark confirms
@@ -192,9 +188,6 @@ def preset_asym(instance: PresetInstance, n: int, correction: bool = False) -> A
         constant_log = (k / 2) * (log2 - logpi) \
             + (k * k + k / 2) * math.log(s1 / (2 + 8 * k)) \
             + _fixed_endpoint_log(u, v) - _log_odd_factorials(k)
-        correction_term = math.log1p((1 + 2 * k * k) / (n * (1 + 4 * k))) \
-            if name == "tangled-no-isolated" \
-            else math.log1p(s1 / (2 * n * (1 + 4 * k)))
     else:
         raise ValueError(f"unknown preset {name!r}")
 
@@ -202,10 +195,7 @@ def preset_asym(instance: PresetInstance, n: int, correction: bool = False) -> A
     if v is not None:
         supported = support_positive(instance.spec, u, v, instance.steps(n))
     log_value = base_log + float(n_power) * logn + constant_log
-    if correction:
-        log_value += correction_term
     if not supported:
         log_value = math.nan
     return AsymptoticEstimate(log_value=log_value, base_log=base_log, n_power=n_power,
-                              constant_log=constant_log, correction_applied=correction,
-                              supported=supported)
+                              constant_log=constant_log, supported=supported)

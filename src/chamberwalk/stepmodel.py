@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -91,12 +91,6 @@ class CompositeSpec:
             acc = acc * x + m * self.weights[m]
         return acc
 
-    def poly_deriv2(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for m in range(self.degree, 1, -1):
-            acc = acc * x + m * (m - 1) * self.weights[m]
-        return acc
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -113,23 +107,6 @@ class CompositeSpec:
 
 def _format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-@dataclass(frozen=True)
-class GaussianExpansion:
-    """Second and fourth order constants of log|S| at the all-ones point.
-
-    ``lam`` is the curvature constant S''(1,...,1)/S(1,...,1) used by the
-    asymptotic formulas.  ``omega`` and ``psi`` are higher-order constants;
-    in the diagonal case they are returned as printed in the source
-    formulas but flagged unvalidated (``omega_psi_validated`` False), see
-    the numeric oracle in the tests.
-    """
-
-    lam: Fraction
-    omega: Fraction
-    psi: Fraction
-    omega_psi_validated: bool
 
 
 @dataclass(frozen=True)
@@ -194,58 +171,9 @@ def s_second_derivative_one(spec: CompositeSpec) -> Fraction:
     return (2 ** spec.k) * spec.poly_deriv(Fraction(2 ** spec.k))
 
 
-def gaussian_expansion(spec: CompositeSpec) -> GaussianExpansion:
-    """Expansion constants of log|S(e^{i phi})| around phi = 0."""
-    if spec.kind is AtomicKind.AXIS:
-        x = Fraction(2 * spec.k)
-        p, dp, ddp = spec.poly(x), spec.poly_deriv(x), spec.poly_deriv2(x)
-        lam = 2 * dp / p
-        omega = 4 * ddp / p ** 2 - lam ** 2
-        if lam != s_second_derivative_one(spec) / s_one(spec):
-            raise ArithmeticError("Lambda differs from S''(1,..,1)/S(1,..,1)")
-        return GaussianExpansion(lam=lam, omega=omega, psi=lam, omega_psi_validated=True)
-    xk = Fraction(2 ** spec.k)
-    p, dp = spec.poly(xk), spec.poly_deriv(xk)
-    lam = xk * dp / p
-    # printed formulas mix arguments 2k and 2^k; kept as printed, unvalidated
-    x2k = Fraction(2 * spec.k)
-    p2k, ddp2k = spec.poly(x2k), spec.poly_deriv2(x2k)
-    omega = (4 ** spec.k) * ddp2k / p2k ** 2 - lam ** 2 + lam if p2k != 0 else Fraction(0)
-    return GaussianExpansion(lam=lam, omega=omega, psi=-2 * lam, omega_psi_validated=False)
-
-
-def log_s_quartic_fit(spec: CompositeSpec) -> tuple[float, float]:
-    """Numeric oracle for the expansion of log|S| along one coordinate.
-
-    Fits log|S(e^{it}, 1, ..., 1)| - log S(1, ..., 1) = c2 t^2 + c4 t^4
-    + O(t^6) and returns (c2, c4).  Against the symbolic expansion the
-    coefficients collapse to c2 = -lam/2 and c4 = omega/2 + psi/24, which
-    is how the printed higher-order constants can be probed numerically.
-    """
-    if spec.kind is AtomicKind.AXIS:
-        a = lambda t: 2 * math.cos(t) + 2 * (spec.k - 1)
-    else:
-        a = lambda t: 2 * math.cos(t) * 2 ** (spec.k - 1)
-    s1 = float(s_one(spec))
-    f = lambda t: math.log(abs(float(spec.poly(Fraction(a(t)))))) - math.log(s1)
-    ts = (0.04, 0.02, 0.01)
-    ys = [f(t) for t in ts]
-    # solve the 3x3 Vandermonde-like system in t^2, t^4, t^6
-    rows = [[t ** 2, t ** 4, t ** 6] for t in ts]
-    c2, c4, _ = _solve3(rows, ys)
-    return c2, c4
-
-
-def _solve3(a: list[list[float]], b: list[float]) -> list[float]:
-    m = [row[:] + [bi] for row, bi in zip(a, b)]
-    for col in range(3):
-        piv = max(range(col, 3), key=lambda r: abs(m[r][col]))
-        m[col], m[piv] = m[piv], m[col]
-        for r in range(3):
-            if r != col:
-                f = m[r][col] / m[col][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][3] / m[r][r] for r in range(3)]
+def curvature(spec: CompositeSpec) -> Fraction:
+    """Lam = S''(1,...,1)/S(1,...,1), the one model constant of the asymptotic formulas."""
+    return s_second_derivative_one(spec) / s_one(spec)
 
 
 def maximal_points(spec: CompositeSpec) -> MaximalPointSet:
@@ -276,9 +204,10 @@ def lattice_contains(spec: CompositeSpec, coords: Sequence[int]) -> bool:
     if len(coords) != spec.k:
         raise ValueError(f"expected {spec.k} coordinates, got {len(coords)}")
     if spec.kind is AtomicKind.AXIS:
-        return True
+        return all(c == int(c) for c in coords)
     parity = coords[0] % 2
-    return all(c % 2 == parity for c in coords)
+    # a non-integer first coordinate has a parity outside {0, 1}
+    return parity in (0, 1) and all(c % 2 == parity for c in coords)
 
 
 def in_chamber(coords: Sequence[int]) -> bool:
@@ -298,6 +227,6 @@ def check_chamber_point(spec: CompositeSpec, coords: Sequence[int]) -> tuple[int
         raise ValueError(f"expected {spec.k} coordinates, got {len(pt)}")
     if not in_chamber(pt):
         raise ValueError(f"{pt} is not strictly inside the chamber")
-    if not lattice_contains(spec, pt):
-        raise ValueError(f"{pt} is not on the walk lattice")
+    if not lattice_contains(spec, coords):
+        raise ValueError(f"{tuple(coords)} is not on the walk lattice")
     return pt

@@ -139,13 +139,12 @@ def suite_schur(seed: int) -> list[dict]:
 
 
 def suite_selberg(seed: int) -> list[dict]:
-    """Monte Carlo agreement with the Selberg closed forms and Aomoto ratios."""
+    """Gauss-quadrature agreement with the Selberg closed forms and Aomoto ratios."""
     records = []
     for k in (1, 2):
         for weight in ("laguerre", "hermite"):
             for which in ("one", "aomoto"):
-                rep = detlab.selberg_mc_check(k, weight, which, samples=200_000, seed=seed)
-                records.append(rep.to_json())
+                records.append(detlab.selberg_check(k, weight, which).to_json())
     return records
 
 

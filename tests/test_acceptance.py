@@ -165,10 +165,10 @@ def test_08_selberg_suite():
                ("hermite", "one"): 4 * math.pi,
                ("hermite", "aomoto"): 4 * 4 * math.pi}
     for (weight, which), target in targets.items():
-        rep = detlab.selberg_mc_check(2, weight, which, samples=10 ** 6, seed=SEED)
-        ok &= rep.passed
-        ok &= abs(rep.params["target"] - target) < 1e-9
-    report("Selberg integrals (closed forms + 1e6-sample MC, 3 sigma)", bool(ok))
+        ok &= abs(detlab.selberg_check(2, weight, which).params["target"] - target) < 1e-9
+        for k in (1, 2, 3, 4):
+            ok &= detlab.selberg_check(k, weight, which).passed
+    report("Selberg integrals (closed forms + Gauss quadrature, relative 1e-12)", bool(ok))
 
 
 def test_09_second_order_diagnostic():

@@ -68,13 +68,6 @@ class TestFixedEndpoint:
             est = asym.asym_fixed(LOCKSTEP_1, (1,), (1,), n)
             assert math.exp(asym.log_exact(cnt) - est.log_value) == pytest.approx(1.0, abs=tol)
 
-    def test_correction_flag(self):
-        plain = asym.asym_fixed(LOCKSTEP_1, (1,), (1,), 16)
-        corr = asym.asym_fixed(LOCKSTEP_1, (1,), (1,), 16, correction=True)
-        assert not plain.correction_applied and corr.correction_applied
-        # lam = 1 here, so the factor is exactly 1 + 1/n
-        assert corr.log_value - plain.log_value == pytest.approx(math.log1p(1 / 16))
-
 
 class TestFreeEndpoint:
     def test_k1_matches_central_binomial_asymptotics(self):

@@ -73,6 +73,35 @@ class TestCount:
                   "--u", "1,2,3", "--v", "1,2,3", "--n", "1000000")
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("args", [
+        ("count", "--kind", "axis", "--k", "3", "--weights", "1,1,1", "--u", "1,2,3",
+         "--v", "1,2,3", "--n", "400", "--method", "reflection"),
+        ("count", "--kind", "diagonal", "--k", "6", "--weights", "0,1",
+         "--u", "1,3,5,7,9,11", "--n", "60", "--method", "reflection"),
+        ("compare", "--kind", "axis", "--k", "3", "--weights", "1,1,1", "--u", "1,2,3",
+         "--v", "1,2,3", "--grid", "100:400:100"),
+        ("preset", "tangled-isolated", "--k", "3", "--n", "400"),
+    ], ids=["axis-reflection", "free-reflection", "compare", "preset"])
+    def test_reflection_budget_exit_3(self, args):
+        res = run(*args)
+        assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
+        assert "budget" in res.output and "Traceback" not in res.output
+
+    @pytest.mark.parametrize("kind,weights,u,v", [
+        ("diagonal", "0,1", "1,2", "1,3"),      # off the diagonal lattice
+        ("axis", "0,1", "1.5,3", "1,2"),        # not an integer point
+        ("axis", "0,1", "0,2", "1,2"),          # on the wall
+        ("diagonal", "0,1", "1,3", "3,1"),      # outside the chamber
+        ("axis", "0,1", "1,2,3", "1,2"),        # wrong dimension
+        ("axis", "1,0,0", "1,2", "1,2"),        # no moving weight
+        ("diagonal", "0,-1", "1,3", "1,3"),     # negative weight
+    ])
+    def test_invalid_input_exit_2(self, kind, weights, u, v):
+        res = run("count", "--kind", kind, "--k", "2", "--weights", weights,
+                  "--u", u, "--v", v, "--n", "4", "--method", "both")
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+
 
 class TestAsym:
     def test_supported(self):

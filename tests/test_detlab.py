@@ -167,24 +167,21 @@ class TestSelberg:
         assert detlab.selberg_closed_form(2, "laguerre") == pytest.approx(3 * math.pi / 8)
         assert detlab.selberg_closed_form(2, "hermite") == pytest.approx(4 * math.pi)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("weight,which", [
         ("laguerre", "one"), ("laguerre", "aomoto"),
         ("hermite", "one"), ("hermite", "aomoto"),
     ])
-    def test_mc_within_three_stderr(self, weight, which):
-        rep = detlab.selberg_mc_check(2, weight, which, samples=200_000, seed=11)
+    def test_quadrature_matches_closed_form(self, weight, which, k):
+        rep = detlab.selberg_check(k, weight, which)
         assert rep.passed
+        assert abs(rep.residual) <= 1e-12 * rep.params["target"]
 
-    def test_mc_deterministic(self):
-        a = detlab.selberg_mc_check(1, "hermite", "one", samples=100_000, seed=5)
-        b = detlab.selberg_mc_check(1, "hermite", "one", samples=100_000, seed=5)
-        assert a.params["estimate"] == b.params["estimate"]
-
-    def test_mc_guards(self):
+    def test_rejects_unknown_weight_or_check(self):
         with pytest.raises(ValueError):
-            detlab.selberg_mc_check(4, "laguerre", "one", samples=100_000, seed=0)
+            detlab.selberg_check(2, "jacobi", "one")
         with pytest.raises(ValueError):
-            detlab.selberg_mc_check(1, "laguerre", "one", samples=10_000, seed=0)
+            detlab.selberg_check(2, "laguerre", "second")
 
 
 def test_report_json_shape():

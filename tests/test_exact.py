@@ -278,10 +278,75 @@ def test_negative_length_rejected(count, kind):
         count(CompositeSpec(kind, 2, [1, 1, 1]))
 
 
+_GOOD_POINT = {AtomicKind.AXIS: (1, 2), AtomicKind.DIAGONAL: (1, 3)}
+_OFF_LATTICE = {AtomicKind.AXIS: (1.5, 3), AtomicKind.DIAGONAL: (1, 2)}
+
+# each route with the point under test p in every endpoint slot; q is a valid point
+_POINT_ROUTES = {
+    "confined-u": lambda spec, p, q: exact.count_confined(spec, p, q, 4),
+    "confined-v": lambda spec, p, q: exact.count_confined(spec, q, p, 4),
+    "confined-free": lambda spec, p, q: exact.count_confined_free(spec, p, 4),
+    "reflection-u": lambda spec, p, q: exact.count_reflection(spec, p, q, 4),
+    "reflection-v": lambda spec, p, q: exact.count_reflection(spec, q, p, 4),
+    "reflection-free": lambda spec, p, q: exact.count_reflection_free(spec, p, 4),
+    "unconstrained-u": lambda spec, p, q: exact.count_unconstrained(spec, p, q, 4),
+    "unconstrained-v": lambda spec, p, q: exact.count_unconstrained(spec, q, p, 4),
+}
+_CHAMBER_ROUTES = [r for r in _POINT_ROUTES if not r.startswith("unconstrained")]
+
+
+@pytest.mark.parametrize("kind", [AtomicKind.AXIS, AtomicKind.DIAGONAL])
+@pytest.mark.parametrize("route", _POINT_ROUTES)
+def test_off_lattice_point_rejected(route, kind):
+    spec = CompositeSpec(kind, 2, [0, 1])
+    with pytest.raises(ValueError, match="lattice"):
+        _POINT_ROUTES[route](spec, _OFF_LATTICE[kind], _GOOD_POINT[kind])
+
+
+@pytest.mark.parametrize("kind", [AtomicKind.AXIS, AtomicKind.DIAGONAL])
+@pytest.mark.parametrize("route", _POINT_ROUTES)
+def test_wrong_dimension_rejected(route, kind):
+    spec = CompositeSpec(kind, 2, [0, 1])
+    with pytest.raises(ValueError):
+        _POINT_ROUTES[route](spec, (1, 3, 5), _GOOD_POINT[kind])
+
+
+@pytest.mark.parametrize("point", [(0, 2), (3, 1), (3, 3)])
+@pytest.mark.parametrize("kind", [AtomicKind.AXIS, AtomicKind.DIAGONAL])
+@pytest.mark.parametrize("route", _CHAMBER_ROUTES)
+def test_point_outside_chamber_rejected(route, kind, point):
+    spec = CompositeSpec(kind, 2, [0, 1])
+    with pytest.raises(ValueError, match="chamber"):
+        _POINT_ROUTES[route](spec, point, _GOOD_POINT[kind])
+
+
+@pytest.mark.parametrize("weights", [[1], [1, 0, 0], [0, -1], [1, 1, -1]],
+                         ids=["stationary", "zero-moving", "negative", "negative-top"])
+@pytest.mark.parametrize("kind", [AtomicKind.AXIS, AtomicKind.DIAGONAL])
+@pytest.mark.parametrize("route", [r for r in _POINT_ROUTES if not r.endswith("-v")])
+def test_invalid_weights_rejected(route, kind, weights):
+    with pytest.raises(ValueError, match="weight"):
+        _POINT_ROUTES[route](CompositeSpec(kind, 2, weights), _GOOD_POINT[kind],
+                             _GOOD_POINT[kind])
+
+
 def test_budget_guard():
     spec = CompositeSpec(AtomicKind.AXIS, 3, [0, 1])
     with pytest.raises(exact.ResourceBudgetError):
         exact.count_confined(spec, (1, 2, 3), (1, 2, 3), 10 ** 6)
+
+
+@pytest.mark.parametrize("count", [
+    lambda: exact.count_reflection(CompositeSpec(AtomicKind.AXIS, 3, [1, 1, 1]),
+                                   (1, 2, 3), (1, 2, 3), 400),
+    lambda: exact.count_unconstrained(CompositeSpec(AtomicKind.AXIS, 3, [1, 1, 1]),
+                                      (1, 2, 3), (1, 2, 3), 400),
+    lambda: exact.count_reflection_free(CompositeSpec(AtomicKind.DIAGONAL, 6, [0, 1]),
+                                        (1, 3, 5, 7, 9, 11), 60),
+], ids=["axis-table", "axis-unconstrained", "free-end-points"])
+def test_reflection_budget_guard(count):
+    with pytest.raises(exact.ResourceBudgetError, match="exceeds budget of 10000000"):
+        count()
 
 
 def test_format_count():

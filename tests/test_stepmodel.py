@@ -1,5 +1,6 @@
 """Step model: generating functions, curvature constants, maximal points."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from chamberwalk.stepmodel import (
     AtomicKind,
     CompositeSpec,
     check_chamber_point,
-    gaussian_expansion,
+    curvature,
     in_chamber,
     lattice_contains,
     maximal_points,
@@ -74,20 +75,10 @@ class TestGeneratingFunction:
         assert s_second_derivative_one(diag(2, [0, 1])) == 4
 
     def test_lam_values(self):
-        assert gaussian_expansion(diag(2, [0, 1])).lam == 1
-        assert gaussian_expansion(axis(2, [0, 1])).lam == Fraction(1, 2)
-        assert gaussian_expansion(axis(2, [1, 1, 1])).lam == Fraction(6, 7)
-        assert gaussian_expansion(axis(1, [1, 1, 1])).lam == Fraction(10, 7)
-
-    def test_diagonal_expansion_flagged_unvalidated(self):
-        assert not gaussian_expansion(diag(2, [0, 1])).omega_psi_validated
-        assert gaussian_expansion(axis(2, [0, 1])).omega_psi_validated
-
-    def test_psi_values(self):
-        ge = gaussian_expansion(axis(1, [1, 1, 1]))
-        assert ge.psi == ge.lam
-        ge = gaussian_expansion(diag(2, [0, 1]))
-        assert ge.psi == -2 * ge.lam
+        assert curvature(diag(2, [0, 1])) == 1
+        assert curvature(axis(2, [0, 1])) == Fraction(1, 2)
+        assert curvature(axis(2, [1, 1, 1])) == Fraction(6, 7)
+        assert curvature(axis(1, [1, 1, 1])) == Fraction(10, 7)
 
 
 class TestMaximalPoints:
@@ -137,20 +128,24 @@ class TestChamberPredicates:
             check_chamber_point(axis(2, [0, 1]), (1,))
 
 
-class TestQuarticFit:
-    def test_axis_curvature_matches(self):
-        from chamberwalk.stepmodel import log_s_quartic_fit
-        spec = axis(1, [1, 1, 1])
-        c2, _ = log_s_quartic_fit(spec)
-        assert c2 == pytest.approx(-float(gaussian_expansion(spec).lam) / 2, rel=1e-6)
+def _log_s_along_first_axis(spec, t):
+    # log|S(e^{it}, 1, ..., 1)| - log S(1, ..., 1), in complex floating point
+    z = [cmath.exp(1j * t)] + [1] * (spec.k - 1)
+    terms = [zj + 1 / zj for zj in z]
+    a = sum(terms) if spec.kind is AtomicKind.AXIS else math.prod(terms)
+    return math.log(abs(spec.poly(a))) - math.log(s_one(spec))
 
-    def test_lockstep_quartic_matches_printed_constants(self):
-        from chamberwalk.stepmodel import log_s_quartic_fit
-        spec = diag(2, [0, 1])
-        ge = gaussian_expansion(spec)
-        c2, c4 = log_s_quartic_fit(spec)
-        assert c2 == pytest.approx(-float(ge.lam) / 2, rel=1e-6)
-        assert c4 == pytest.approx(float(ge.omega) / 2 + float(ge.psi) / 24, rel=1e-3)
+
+class TestCurvatureOracle:
+    # f(t) = c2 t^2 + c4 t^4 + O(t^6), so (16 f(t) - f(2t)) / (12 t^2) = c2 + O(t^4),
+    # and the Gaussian expansion of log|S| gives c2 = -Lam/2
+    @pytest.mark.parametrize("spec", [axis(1, [1, 1, 1]), diag(2, [0, 1]), axis(3, [1, 0, 2])],
+                             ids=["axis-k1-111", "diagonal-k2-01", "axis-k3-102"])
+    def test_matches_log_s_expansion(self, spec):
+        t = 0.01
+        f = _log_s_along_first_axis
+        c2 = (16 * f(spec, t) - f(spec, 2 * t)) / (12 * t * t)
+        assert -2 * c2 == pytest.approx(float(curvature(spec)), rel=1e-6)
 
 
 def test_angles_match_sign_vectors():
