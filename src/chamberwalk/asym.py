@@ -24,11 +24,10 @@ from typing import Optional, Sequence
 
 from chamberwalk import exact
 from chamberwalk.stepmodel import (
-    AtomicKind,
     CompositeSpec,
     check_chamber_point,
     curvature,
-    maximal_points,
+    maximal_point_count,
     s_one,
 )
 
@@ -40,9 +39,6 @@ class DiagnosticError(ValueError):
 @dataclass(frozen=True)
 class AsymptoticEstimate:
     log_value: float            # natural log; NaN when unsupported
-    base_log: float             # n * log S(1)
-    n_power: Fraction           # exponent of n (negative)
-    constant_log: float         # everything independent of n
     supported: bool
 
     @property
@@ -83,14 +79,7 @@ def support_positive(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n:
     Necessary but not sufficient for small n (reachability can fail even
     when the parities line up).
     """
-    u = check_chamber_point(spec, u)
-    v = check_chamber_point(spec, v)
-    parity = spec.parity
-    if parity is None:
-        return True
-    if spec.kind is AtomicKind.AXIS:
-        return (sum(u) + sum(v)) % 2 == (n * parity) % 2
-    return all((vj - uj) % 2 == (n * parity) % 2 for uj, vj in zip(u, v))
+    return spec.parity_allows(check_chamber_point(spec, u), check_chamber_point(spec, v), n)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +132,7 @@ def asym_fixed(spec: CompositeSpec, u: Sequence[int], v: Sequence[int],
     for uj, vj in zip(u, v):
         endpoint *= uj * vj
     constant_log = (
-        math.log(len(maximal_points(spec)))
+        math.log(maximal_point_count(spec))
         + (k / 2) * math.log(2 / math.pi)
         + float(n_power) * log_exact(lam)
         + log_exact(endpoint)
@@ -153,8 +142,7 @@ def asym_fixed(spec: CompositeSpec, u: Sequence[int], v: Sequence[int],
     log_value = base_log + float(n_power) * math.log(n) + constant_log
     if not supported:
         log_value = math.nan
-    return AsymptoticEstimate(log_value=log_value, base_log=base_log, n_power=n_power,
-                              constant_log=constant_log, supported=supported)
+    return AsymptoticEstimate(log_value=log_value, supported=supported)
 
 
 def asym_free(spec: CompositeSpec, u: Sequence[int], n: int) -> AsymptoticEstimate:
@@ -177,8 +165,7 @@ def asym_free(spec: CompositeSpec, u: Sequence[int], n: int) -> AsymptoticEstima
         - _log_factorial_odd(k)
     )
     log_value = base_log + float(n_power) * math.log(n) + constant_log
-    return AsymptoticEstimate(log_value=log_value, base_log=base_log, n_power=n_power,
-                              constant_log=constant_log, supported=True)
+    return AsymptoticEstimate(log_value=log_value, supported=True)
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +218,6 @@ def _ols(pts: Sequence[tuple[float, float]]) -> tuple[float, float]:
     sxy = sum((p[0] - mx) * (p[1] - my) for p in pts)
     slope = sxy / sxx
     return slope, my - slope * mx
-
-
-def fit_decay(report: ConvergenceReport) -> float:
-    """Least-squares slope of log|delta_n| against log n."""
-    if len(report.rows) < 3:
-        raise DiagnosticError("need at least 3 rows")
-    return _fit_loglog(report.rows)[0]
 
 
 def fit_inverse_n_coefficient(report: ConvergenceReport) -> float:

@@ -5,8 +5,9 @@ JSON lines, reports as single JSON documents, tables optionally as CSV.
 Exact counts are always serialized as strings so arbitrary precision
 survives the trip through JSON.
 
-Exit codes: 0 success, 1 verification/match failure, 2 usage error,
-3 resource-budget refusal.
+Exit codes: 0 success, 1 verification/match failure, 2 usage error
+(including invalid model input), 3 resource-budget refusal of an exact
+route, 4 internal error (one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from chamberwalk.stepmodel import AtomicKind, CompositeSpec
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_point(text: str, k: int, what: str) -> tuple[int, ...]:
@@ -92,7 +94,29 @@ def _model_options(fn):
     return fn
 
 
-@click.group()
+class _Main(click.Group):
+    """Maps what a command raises to the documented exit codes."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.exceptions.Abort):
+            raise
+        except exact.ResourceBudgetError as err:
+            click.echo(str(err), err=True)
+            sys.exit(EXIT_RESOURCE)
+        except Exception as err:
+            # a ValueError is invalid model input, except under verify,
+            # which checks its suite names first and builds its own models
+            name = ctx.invoked_subcommand
+            if isinstance(err, ValueError) and name != "verify":
+                command = click.Context(self.commands[name], parent=ctx, info_name=name)
+                raise click.UsageError(str(err), command)
+            click.echo(f"internal error: {type(err).__name__}: {err}", err=True)
+            sys.exit(EXIT_INTERNAL)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Walk counting and asymptotics in the chamber 0 < x1 < ... < xk."""
 
@@ -109,30 +133,24 @@ def cmd_count(kind: str, k: int, weights: str, u_text: str, v_text: Optional[str
     u = _parse_point(u_text, k, "u")
     v = _parse_point(v_text, k, "v") if v_text is not None else None
     mismatch = False
-    try:
-        for n in _parse_n_values(n_text):
-            record = {"kind": kind, "k": k, "weights": [exact.format_count(w) for w in spec.weights],
-                      "u": list(u), "n": n, "method": method}
-            if v is not None:
-                record["v"] = list(v)
-            if method in ("dp", "both"):
-                cnt = exact.count_confined(spec, u, v, n) if v is not None \
-                    else exact.count_confined_free(spec, u, n)
-                record["count"] = exact.format_count(cnt)
-            if method in ("reflection", "both"):
-                ref = exact.count_reflection(spec, u, v, n) if v is not None \
-                    else exact.count_reflection_free(spec, u, n)
-                key = "count_reflection" if method == "both" else "count"
-                record[key] = exact.format_count(ref)
-            if method == "both":
-                record["match"] = record["count"] == record["count_reflection"]
-                mismatch = mismatch or not record["match"]
-            _emit(record)
-    except exact.ResourceBudgetError as err:
-        click.echo(str(err), err=True)
-        sys.exit(EXIT_RESOURCE)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    for n in _parse_n_values(n_text):
+        record = {"kind": kind, "k": k, "weights": [exact.format_count(w) for w in spec.weights],
+                  "u": list(u), "n": n, "method": method}
+        if v is not None:
+            record["v"] = list(v)
+        if method in ("dp", "both"):
+            cnt = exact.count_confined(spec, u, v, n) if v is not None \
+                else exact.count_confined_free(spec, u, n)
+            record["count"] = exact.format_count(cnt)
+        if method in ("reflection", "both"):
+            ref = exact.count_reflection(spec, u, v, n) if v is not None \
+                else exact.count_reflection_free(spec, u, n)
+            key = "count_reflection" if method == "both" else "count"
+            record[key] = exact.format_count(ref)
+        if method == "both":
+            record["match"] = record["count"] == record["count_reflection"]
+            mismatch = mismatch or not record["match"]
+        _emit(record)
     if mismatch:
         sys.exit(EXIT_FAIL)
 
@@ -145,14 +163,10 @@ def cmd_asym(kind: str, k: int, weights: str, u_text: str, v_text: Optional[str]
     """Leading-order asymptotic estimate as a single JSON record."""
     spec = _build_spec(kind, k, weights)
     u = _parse_point(u_text, k, "u")
-    try:
-        if v_text is None:
-            est = asym.asym_free(spec, u, n_value)
-        else:
-            v = _parse_point(v_text, k, "v")
-            est = asym.asym_fixed(spec, u, v, n_value)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    if v_text is None:
+        est = asym.asym_free(spec, u, n_value)
+    else:
+        est = asym.asym_fixed(spec, u, _parse_point(v_text, k, "v"), n_value)
     record = {"kind": kind, "k": k, "u": list(u), "n": n_value,
               "supported": est.supported}
     if v_text is not None:
@@ -175,13 +189,7 @@ def cmd_compare(kind: str, k: int, weights: str, u_text: str, v_text: Optional[s
     spec = _build_spec(kind, k, weights)
     u = _parse_point(u_text, k, "u")
     v = _parse_point(v_text, k, "v") if v_text is not None else None
-    try:
-        report = asym.compare_series(spec, u, v, _parse_n_values(grid))
-    except exact.ResourceBudgetError as err:
-        click.echo(str(err), err=True)
-        sys.exit(EXIT_RESOURCE)
-    except (asym.DiagnosticError, ValueError) as err:
-        raise click.UsageError(str(err))
+    report = asym.compare_series(spec, u, v, _parse_n_values(grid))
     rows = [{"n": r.n, "exact_log": r.exact_log, "asym_log": r.asym_log,
              "ratio": r.ratio, "delta": r.delta} for r in report.rows]
     if fmt == "json":
@@ -207,19 +215,13 @@ def cmd_preset(name: str, k: int, n_value: int, u_text: Optional[str],
     """Exact count, asymptotic estimate, and their ratio for a named model."""
     u = _parse_point(u_text, k, "u") if u_text is not None else None
     v = _parse_point(v_text, k, "v") if v_text is not None else None
-    try:
-        inst = presets.preset_spec(name, k, u=u, v=v)
-        steps = inst.steps(n_value)
-        if inst.free_endpoint:
-            cnt = exact.count_reflection_free(inst.spec, inst.u, steps)
-        else:
-            cnt = exact.count_reflection(inst.spec, inst.u, inst.v, steps)
-        est = presets.preset_asym(inst, n_value)
-    except exact.ResourceBudgetError as err:
-        click.echo(str(err), err=True)
-        sys.exit(EXIT_RESOURCE)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    inst = presets.preset_spec(name, k, u=u, v=v)
+    steps = inst.steps(n_value)
+    if inst.free_endpoint:
+        cnt = exact.count_reflection_free(inst.spec, inst.u, steps)
+    else:
+        cnt = exact.count_reflection(inst.spec, inst.u, inst.v, steps)
+    est = presets.preset_asym(inst, n_value)
     record = {"preset": name, "k": k, "n": n_value, "steps": steps,
               "u": list(inst.u), "count": exact.format_count(cnt),
               "supported": est.supported}

@@ -138,8 +138,6 @@ def schur_orthogonal_identity_check(t: Sequence[Fraction], c: int) -> IdentityRe
     RHS: det(z^(2c+m-1/2) - z^-(m-1/2)) / det(z^(m-1/2) - z^-(m-1/2)),
     rational through the t-substitution.
     """
-    import itertools
-
     t = [Fraction(x) for x in t]
     k = len(t)
     zz = [x * x for x in t]

@@ -209,6 +209,7 @@ def count_reflection(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n:
     u = check_chamber_point(spec, u)
     v = check_chamber_point(spec, v)
     _check_length(n)
+    _check_budget(_signed_sum_cost(spec, n), "signed sum work")
     if spec.kind is AtomicKind.AXIS:
         table = _displacement_table(spec, n)
 
@@ -226,6 +227,20 @@ def count_reflection(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n:
     for image, sign in signed_permutations(spec.k):
         total += sign * term(image)
     return total
+
+
+def _signed_sum_cost(spec: CompositeSpec, n: int) -> int:
+    # k!*2^k terms: a diagonal term sums a product over the atomic lengths
+    # of P(x)^n, an axis term is one table lookup.  Weights are >= 0, so
+    # those lengths are the n-fold sums of the weighted lengths: they lie in
+    # n*a + g*N up to n*degree, with a the least weighted length and g the
+    # gcd of the differences.  Counting them so never expands P(x)^n.
+    terms = math.factorial(spec.k) * 2 ** spec.k
+    if spec.kind is AtomicKind.AXIS:
+        return terms
+    lengths = [m for m, w in enumerate(spec.weights) if w]
+    g = math.gcd(*(m - lengths[0] for m in lengths))
+    return terms * (n * (spec.degree - lengths[0]) // g + 1 if g else 1)
 
 
 def _chamber_state_bound(spec: CompositeSpec, u: Sequence[int], n: int) -> int:
@@ -248,8 +263,8 @@ def _confined_atomic_step(frontier: dict, steps: Sequence[tuple[int, ...]]) -> d
     return out
 
 
-def _confined_composite_step(spec: CompositeSpec, frontier: dict,
-                             steps: Sequence[tuple[int, ...]], weights: Sequence) -> dict:
+def _confined_composite_step(frontier: dict, steps: Sequence[tuple[int, ...]],
+                             weights: Sequence) -> dict:
     zero = weights[0] * 0
     acc: dict = {}
     layer = frontier
@@ -271,7 +286,7 @@ def _confined_frontier(spec: CompositeSpec, u: Sequence[int], n: int,
     weights = _weight_values(spec)
     frontier = {u: weights[0] * 0 + 1}
     for _ in range(n):
-        frontier = _confined_composite_step(spec, frontier, steps, weights)
+        frontier = _confined_composite_step(frontier, steps, weights)
     return frontier
 
 
@@ -303,8 +318,12 @@ def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
     """
     u = check_chamber_point(spec, u)
     _check_length(n)
-    _check_budget(_chamber_state_bound(spec, u, n), "reachable end points")
     box = max(u) + n * spec.degree
+    # lattice points below the box: every chamber point for axis steps, the
+    # odd and the even ones for diagonal steps
+    points = math.comb(box, spec.k) if spec.kind is AtomicKind.AXIS \
+        else math.comb((box + 1) // 2, spec.k) + math.comb(box // 2, spec.k)
+    _check_budget(points * _signed_sum_cost(spec, n), "free-endpoint signed sum work")
     total = 0
     for v in _chamber_points_upto(spec, box):
         if _reachable(spec, u, v, n):
@@ -316,17 +335,12 @@ def _reachable(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int) 
     """False only when no unconstrained walk of n composite steps joins u to v.
 
     One atomic step moves every coordinate by 1 (diagonal) or one coordinate
-    by 1 (axis), and a walk makes at most n*degree atomic steps.  When every
-    weighted atomic length has one parity, the number of atomic steps has
-    the parity of n times it.
+    by 1 (axis), and a walk makes at most n*degree atomic steps; the step
+    parity is ``CompositeSpec.parity_allows``.
     """
     gaps = [abs(b - a) for a, b in zip(u, v)]
-    # coordinates of a diagonal-lattice point share one parity, so gaps[0] carries it
-    span, moved = (max(gaps), gaps[0]) if spec.kind is AtomicKind.DIAGONAL \
-        else (sum(gaps), sum(gaps))
-    if span > n * spec.degree:
-        return False
-    return spec.parity is None or moved % 2 == n * spec.parity % 2
+    span = max(gaps) if spec.kind is AtomicKind.DIAGONAL else sum(gaps)
+    return span <= n * spec.degree and spec.parity_allows(u, v, n)
 
 
 def _chamber_points_upto(spec: CompositeSpec, bound: int) -> Iterator[tuple[int, ...]]:
@@ -336,9 +350,8 @@ def _chamber_points_upto(spec: CompositeSpec, bound: int) -> Iterator[tuple[int,
 
 
 def format_count(value) -> str:
-    """Serialize an exact count: decimal string, or 'p/q' for non-integers."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+    """Serialize an exact count: decimal string, or 'p/q' for non-integers.
+
+    ``str`` of a ``Fraction`` with denominator 1 is its numerator alone.
+    """
     return str(value)

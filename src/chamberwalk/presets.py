@@ -197,5 +197,4 @@ def preset_asym(instance: PresetInstance, n: int) -> AsymptoticEstimate:
     log_value = base_log + float(n_power) * logn + constant_log
     if not supported:
         log_value = math.nan
-    return AsymptoticEstimate(log_value=log_value, base_log=base_log, n_power=n_power,
-                              constant_log=constant_log, supported=supported)
+    return AsymptoticEstimate(log_value=log_value, supported=supported)

@@ -72,6 +72,20 @@ class CompositeSpec:
         parities = {m % 2 for m, w in enumerate(self.weights) if w > 0}
         return parities.pop() if len(parities) == 1 else None
 
+    def parity_allows(self, u: Sequence[int], v: Sequence[int], n: int) -> bool:
+        """False only when the step parity rules out every n-step walk from u to v.
+
+        When every weighted atomic length has one parity, a walk makes a
+        number of atomic steps of the parity of n times it.  An axis step
+        moves the coordinate sum by 1; a diagonal step moves every
+        coordinate by 1, and the coordinates of a diagonal-lattice point
+        share one parity, so the first coordinate carries it.
+        """
+        if self.parity is None:
+            return True
+        moved = sum(v) - sum(u) if self.kind is AtomicKind.AXIS else v[0] - u[0]
+        return moved % 2 == n * self.parity % 2
+
     @property
     def integer_weights(self) -> bool:
         return all(w.denominator == 1 for w in self.weights)
@@ -97,60 +111,12 @@ class CompositeSpec:
         return {
             "kind": self.kind.value,
             "k": self.k,
-            "weights": [_format_rational(w) for w in self.weights],
+            "weights": [str(w) for w in self.weights],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "CompositeSpec":
         return cls(AtomicKind(obj["kind"]), int(obj["k"]), [Fraction(w) for w in obj["weights"]])
-
-
-def _format_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-@dataclass(frozen=True)
-class MaximalPointSet:
-    """Sign vectors where |S| attains its torus maximum S(1, ..., 1).
-
-    The sign vector eps stands for the angle vector with phi_j = 0 when
-    eps_j = +1 and phi_j = pi when eps_j = -1.
-    """
-
-    points: frozenset[tuple[int, ...]]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(sorted(self.points, reverse=True))
-
-    def angles(self) -> list[tuple[float, ...]]:
-        return [tuple(0.0 if e > 0 else math.pi for e in eps) for eps in self]
-
-
-# ---------------------------------------------------------------------------
-# generating function values
-
-
-def atomic_gf_value(kind: AtomicKind, z: Sequence[Fraction]) -> Fraction:
-    """A(z): sum of z_j + 1/z_j for axis steps, product for diagonal steps."""
-    if any(zj == 0 for zj in z):
-        raise ValueError("coordinates of z must be nonzero")
-    terms = [Fraction(zj) + 1 / Fraction(zj) for zj in z]
-    if kind is AtomicKind.AXIS:
-        return sum(terms, Fraction(0))
-    prod = Fraction(1)
-    for t in terms:
-        prod *= t
-    return prod
-
-
-def composite_gf_value(spec: CompositeSpec, z: Sequence[Fraction]) -> Fraction:
-    """S(z) = P(A(z)), exact rational arithmetic."""
-    if len(z) != spec.k:
-        raise ValueError(f"expected {spec.k} coordinates, got {len(z)}")
-    return spec.poly(atomic_gf_value(spec.kind, z))
 
 
 def s_one(spec: CompositeSpec) -> Fraction:
@@ -176,19 +142,36 @@ def curvature(spec: CompositeSpec) -> Fraction:
     return s_second_derivative_one(spec) / s_one(spec)
 
 
-def maximal_points(spec: CompositeSpec) -> MaximalPointSet:
-    """All sign vectors eps with |S(eps)| = S(1, ..., 1).
+def _maximal_signs(spec: CompositeSpec) -> tuple[int, ...]:
+    # the values of A(eps)/A(1) at a maximal point: -1 counts only when
+    # every weighted atomic length has one parity, so |P(-x)| = P(x)
+    return (1, -1) if spec.parity is not None else (1,)
 
-    S is real at sign vectors, so this is carried out entirely in exact
-    rational arithmetic.
+
+def maximal_points(spec: CompositeSpec) -> tuple[tuple[int, ...], ...]:
+    """All sign vectors eps with |S(eps)| = S(1, ..., 1), from the step parity.
+
+    The sign vector eps stands for the angle vector with phi_j = 0 when
+    eps_j = +1 and phi_j = pi when eps_j = -1.  Weights are nonnegative, so
+    |P(x)| <= P(|x|), and eps is maximal exactly when A(eps) = +-A(1) with
+    a sign from ``_maximal_signs``.  A(eps) is 2 sum(eps) for axis steps,
+    so only eps = +-(1, ..., 1) qualify, and 2^k prod(eps) for diagonal
+    steps, so every eps whose product is such a sign does.
     """
-    top = s_one(spec)
-    pts = set()
-    for eps in itertools.product((1, -1), repeat=spec.k):
-        val = composite_gf_value(spec, [Fraction(e) for e in eps])
-        if abs(val) == top:
-            pts.add(eps)
-    return MaximalPointSet(points=frozenset(pts))
+    signs = _maximal_signs(spec)
+    if spec.kind is AtomicKind.AXIS:
+        return tuple((s,) * spec.k for s in signs)
+    return tuple(eps for eps in itertools.product((1, -1), repeat=spec.k)
+                 if math.prod(eps) in signs)
+
+
+def maximal_point_count(spec: CompositeSpec) -> int:
+    """len(maximal_points(spec)) in closed form, without listing 2^k points.
+
+    Each sign is taken by one axis sign vector and by 2^(k-1) diagonal ones.
+    """
+    per_sign = 1 if spec.kind is AtomicKind.AXIS else 2 ** (spec.k - 1)
+    return per_sign * len(_maximal_signs(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,9 @@ class TestConvergence:
                                 delta=2.0 * n ** (-5 / 3))
             for n in (10, 20, 40, 80)
         )
-        rep = asym.ConvergenceReport(rows=rows, fitted_slope=0.0, fitted_intercept=0.0)
-        assert asym.fit_decay(rep) == pytest.approx(-5 / 3, rel=1e-9)
+        # the decay fit that compare_series reports as fitted_slope
+        slope, _ = asym._fit_loglog(rows)
+        assert slope == pytest.approx(-5 / 3, rel=1e-9)
 
     def test_inverse_n_coefficient_on_synthetic(self):
         # delta = c/n + d/n^2 must recover c exactly (fit is linear in 1/n)

@@ -2,16 +2,26 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from click.testing import CliRunner
 
+import chamberwalk
+from chamberwalk import exact, verify
 from chamberwalk.cli import main
 
 
 def run(*args, env=None):
     return CliRunner().invoke(main, list(args), env=env)
+
+
+def _odd(k):
+    return ",".join(str(2 * j + 1) for j in range(k))
 
 
 class TestCount:
@@ -180,6 +190,13 @@ class TestVerify:
         res = run("verify", "--suite", "nonsense", "--seed", "7")
         assert res.exit_code == 2
 
+    def test_unknown_suite_rejected_before_any_suite_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verify, "run_suite", lambda name, seed: ran.append(name) or [])
+        res = run("verify", "--suite", "oracle,nonsense", "--seed", "7")
+        assert res.exit_code == 2 and "unknown suite 'nonsense'" in res.output
+        assert ran == []
+
     def test_schur_passes_at_every_seed(self):
         for seed in range(12):
             res = run("verify", "--suite", "schur", "--seed", str(seed))
@@ -190,3 +207,51 @@ class TestVerify:
         args = ("verify", "--suite", "det,dsin", "--seed", "3")
         assert run(*args).output == run(*args).output
 
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("args,code", [
+        (("asym", "--kind", "diagonal", "--k", "16", "--weights", "0,1",
+          "--u", _odd(16), "--v", _odd(16), "--n", "100"), 0),
+        (("asym", "--kind", "diagonal", "--k", "22", "--weights", "0,1",
+          "--u", _odd(22), "--v", _odd(22), "--n", "100"), 0),
+        (("count", "--kind", "diagonal", "--k", "9", "--weights", "0,1",
+          "--u", _odd(9), "--v", _odd(9), "--n", "2", "--method", "reflection"), 3),
+        (("preset", "watermelon", "--k", "9", "--n", "2"), 3),
+        (("count", "--kind", "diagonal", "--k", "6", "--weights", "0,1",
+          "--u", _odd(6), "--n", "30", "--method", "reflection"), 3),
+        (("count", "--kind", "diagonal", "--k", "2", "--weights", "0,1,1",
+          "--u", "1,3", "--n", "1000000", "--method", "reflection"), 3),
+    ], ids=["asym-k16", "asym-k22", "signed-sum-k9", "preset-k9", "free-lockstep-k6",
+            "free-long-walk"])
+    def test_large_k_answers_or_refuses_quickly(self, args, code):
+        env = dict(os.environ)
+        package_root = str(Path(chamberwalk.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-m", "chamberwalk.cli", *args], env=env,
+                             capture_output=True, text=True, timeout=10)
+        assert res.returncode == code, res.stderr
+        assert "Traceback" not in res.stderr
+        if code == 0:
+            assert json.loads(res.stdout)["supported"] is True
+        else:
+            assert "budget" in res.stderr and not res.stdout
+
+    def test_internal_error_exit_4(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(exact, "count_confined", broken)
+        res = run("count", "--kind", "diagonal", "--k", "1", "--weights", "0,1",
+                  "--u", "1", "--v", "1", "--n", "4")
+        assert res.exit_code == 4 and isinstance(res.exception, SystemExit)
+        assert res.output == "internal error: RuntimeError: boom\n"
+
+    def test_verify_value_error_is_internal(self, monkeypatch):
+        def broken(seed):
+            raise ValueError("bad quadrature")
+
+        monkeypatch.setitem(verify._SUITE_FNS, "det", broken)
+        res = run("verify", "--suite", "det", "--seed", "7")
+        assert res.exit_code == 4
+        assert res.output == "internal error: ValueError: bad quadrature\n"

@@ -343,10 +343,29 @@ def test_budget_guard():
                                       (1, 2, 3), (1, 2, 3), 400),
     lambda: exact.count_reflection_free(CompositeSpec(AtomicKind.DIAGONAL, 6, [0, 1]),
                                         (1, 3, 5, 7, 9, 11), 60),
-], ids=["axis-table", "axis-unconstrained", "free-end-points"])
+    lambda: exact.count_reflection(CompositeSpec(AtomicKind.DIAGONAL, 9, [0, 1]),
+                                   tuple(range(1, 18, 2)), tuple(range(1, 18, 2)), 2),
+    lambda: exact.count_reflection(CompositeSpec(AtomicKind.DIAGONAL, 7, [0, 1, 1]),
+                                   tuple(range(1, 14, 2)), tuple(range(1, 14, 2)), 60),
+], ids=["axis-table", "axis-unconstrained", "free-end-points", "signed-sum", "signed-sum-lengths"])
 def test_reflection_budget_guard(count):
     with pytest.raises(exact.ResourceBudgetError, match="exceeds budget of 10000000"):
         count()
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights=st.lists(st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(1, 3)]),
+                        min_size=2, max_size=6).filter(lambda ws: any(ws[1:])),
+       n=st.integers(0, 12))
+def test_signed_sum_cost_bounds_the_lengths_without_expanding(weights, n):
+    spec = CompositeSpec(AtomicKind.DIAGONAL, 2, weights)
+    lengths = len(exact._weight_power(spec.weights, n)[0])
+    cost = exact._signed_sum_cost(spec, n) // 8
+    assert cost >= lengths
+    weighted = [m for m, w in enumerate(spec.weights) if w]
+    if len({b - a for a, b in zip(weighted, weighted[1:])}) <= 1:
+        # weighted lengths in arithmetic progression: their n-fold sums fill it
+        assert cost == lengths
 
 
 def test_format_count():

@@ -1,11 +1,12 @@
 """Step model: generating functions, curvature constants, maximal points."""
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from chamberwalk.stepmodel import (
     AtomicKind,
@@ -14,6 +15,7 @@ from chamberwalk.stepmodel import (
     curvature,
     in_chamber,
     lattice_contains,
+    maximal_point_count,
     maximal_points,
     s_one,
     s_second_derivative_one,
@@ -103,6 +105,41 @@ class TestMaximalPoints:
         assert tuple([1] * k) in maximal_points(spec)
 
 
+def _scanned_maximal_points(spec):
+    # every sign vector eps with |S(eps)| = S(1), S evaluated in exact rationals
+    top = s_one(spec)
+    found = []
+    for eps in itertools.product((1, -1), repeat=spec.k):
+        terms = [Fraction(e) + 1 / Fraction(e) for e in eps]
+        a = sum(terms) if spec.kind is AtomicKind.AXIS else math.prod(terms)
+        if abs(spec.poly(a)) == top:
+            found.append(eps)
+    return tuple(sorted(found, reverse=True))
+
+
+class TestMaximalPointsFromParity:
+    @given(st.sampled_from([AtomicKind.AXIS, AtomicKind.DIAGONAL]),
+           st.integers(1, 5),
+           st.lists(st.sampled_from([0, 0, 1, 2, Fraction(1, 3), Fraction(5, 2)]),
+                    min_size=1, max_size=5))
+    # w_0 > 0 with one parity, and mixed parity, for both kinds
+    @example(AtomicKind.AXIS, 3, [1, 0, 1])
+    @example(AtomicKind.AXIS, 3, [1, 1])
+    @example(AtomicKind.DIAGONAL, 4, [2, 0, Fraction(1, 2)])
+    @example(AtomicKind.DIAGONAL, 4, [0, 1, 1])
+    def test_matches_brute_force_scan(self, kind, k, weights):
+        if not any(w for m, w in enumerate(weights) if m > 0):
+            weights = weights + [1]
+        spec = CompositeSpec(kind, k, weights)
+        scanned = _scanned_maximal_points(spec)
+        assert maximal_points(spec) == scanned
+        assert maximal_point_count(spec) == len(scanned)
+
+    def test_count_without_listing(self):
+        assert maximal_point_count(diag(40, [0, 1])) == 2 ** 40
+        assert maximal_point_count(diag(40, [0, 1, 1])) == 2 ** 39
+
+
 class TestChamberPredicates:
     def test_in_chamber(self):
         assert in_chamber((1, 2, 5))
@@ -146,10 +183,3 @@ class TestCurvatureOracle:
         f = _log_s_along_first_axis
         c2 = (16 * f(spec, t) - f(spec, 2 * t)) / (12 * t * t)
         assert -2 * c2 == pytest.approx(float(curvature(spec)), rel=1e-6)
-
-
-def test_angles_match_sign_vectors():
-    pts = maximal_points(axis(2, [0, 1]))
-    angles = pts.angles()
-    assert (0.0, 0.0) in angles
-    assert (math.pi, math.pi) in angles
