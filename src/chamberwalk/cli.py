@@ -48,10 +48,7 @@ def _parse_weights(text: str) -> list[Fraction]:
 
 
 def _build_spec(kind: str, k: int, weights: str) -> CompositeSpec:
-    try:
-        return CompositeSpec(AtomicKind(kind), k, _parse_weights(weights))
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    return CompositeSpec(AtomicKind(kind), k, _parse_weights(weights))
 
 
 def _parse_n_values(text: str) -> list[int]:
@@ -163,14 +160,12 @@ def cmd_asym(kind: str, k: int, weights: str, u_text: str, v_text: Optional[str]
     """Leading-order asymptotic estimate as a single JSON record."""
     spec = _build_spec(kind, k, weights)
     u = _parse_point(u_text, k, "u")
-    if v_text is None:
-        est = asym.asym_free(spec, u, n_value)
-    else:
-        est = asym.asym_fixed(spec, u, _parse_point(v_text, k, "v"), n_value)
+    v = _parse_point(v_text, k, "v") if v_text is not None else None
+    est = asym.asym_free(spec, u, n_value) if v is None else asym.asym_fixed(spec, u, v, n_value)
     record = {"kind": kind, "k": k, "u": list(u), "n": n_value,
               "supported": est.supported}
-    if v_text is not None:
-        record["v"] = list(_parse_point(v_text, k, "v"))
+    if v is not None:
+        record["v"] = list(v)
     if est.supported:
         record["log10"] = est.log10_value
         if est.value is not None:

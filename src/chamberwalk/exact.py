@@ -8,13 +8,12 @@ Three independent exact routes are provided:
                               group of signed permutations,
 * ``count_unconstrained``  -- plain coefficient extraction from S(z)^n.
 
-Unconstrained coefficients use S = P(A):
-[z^d]S^n = sum_m [x^m]P(x)^n * [z^d]A^m.  For the diagonal kind
-[z^d]A^m = prod_j C(m, (m + d_j)/2) is a closed form, shared by every
-diagonal model; the axis kind adds the atomic layers A^m, stepped forward
-by sparse convolution, into one displacement table.  Both kinds take
-[x^m]P(x)^n from one expansion.  Free-endpoint sums by reflection visit
-only the end points an unconstrained walk can reach.
+Every count uses S = P(A): sum_m [x^m]P(x)^n times the count of atomic
+walks of length m, with [x^m]P(x)^n from one expansion.  For the diagonal
+kind [z^d]A^m = prod_j C(m, (m + d_j)/2) is a closed form; the axis table
+and the confined DP (which keeps only chamber points) walk the atomic
+layers once by sparse convolution and add each one weighted.  Free-endpoint
+sums by reflection visit only the end points an unconstrained walk can reach.
 
 All arithmetic is exact: Python ints when every weight is an integer,
 ``Fraction`` otherwise.  Confinement is atomic-strict: every intermediate
@@ -28,8 +27,9 @@ import functools
 import itertools
 import math
 import operator
+from decimal import Decimal
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from chamberwalk.stepmodel import (
     AtomicKind,
@@ -43,12 +43,13 @@ DEFAULT_STATE_BUDGET = 10 ** 7
 
 
 class ResourceBudgetError(RuntimeError):
-    """The estimated work of an exact route exceeds the configured budget."""
+    """The estimated work of an exact route exceeds the budget."""
 
 
-def _check_budget(cost: int, what: str, budget: int = DEFAULT_STATE_BUDGET) -> None:
-    if cost > budget:
-        raise ResourceBudgetError(f"{what}: estimate {cost} exceeds budget of {budget}")
+def _check_budget(cost: int, what: str) -> None:
+    if cost > DEFAULT_STATE_BUDGET:
+        raise ResourceBudgetError(
+            f"{what}: estimate {cost} exceeds budget of {DEFAULT_STATE_BUDGET}")
 
 
 # ---------------------------------------------------------------------------
@@ -65,13 +66,6 @@ def atomic_displacements(spec: CompositeSpec) -> list[tuple[int, ...]]:
                 steps.append(tuple(step))
         return steps
     return [eps for eps in itertools.product((1, -1), repeat=spec.k)]
-
-
-def _weight_values(spec: CompositeSpec) -> list:
-    # integer fast path: plain ints convolve much faster than Fractions
-    if spec.integer_weights:
-        return [int(w) for w in spec.weights]
-    return list(spec.weights)
 
 
 def _convolve(dist: dict, steps: Sequence[tuple[int, ...]]) -> dict:
@@ -109,13 +103,31 @@ def _weight_power(weights: tuple[Fraction, ...], n: int) -> tuple[tuple[int, ...
     return tuple(m for m, _ in support), tuple(c for _, c in support)
 
 
+def _weighted_layers(spec: CompositeSpec, n: int, start: tuple[int, ...],
+                     step: Callable[[dict, Sequence[tuple[int, ...]]], dict]) -> dict:
+    """sum_m [x^m]P(x)^n * layer_m, as a dict from point to mass.
+
+    layer_0 is {start: 1} and layer_(m+1) = step(layer_m, atomic steps).
+    The layers hold plain ints; each weighted length adds its layer once,
+    scaled by its coefficient of P(x)^n.
+    """
+    lengths, coeffs = _weight_power(spec.weights, n)
+    steps = atomic_displacements(spec)
+    layer = {start: 1}
+    total: dict = {}
+    m = 0
+    for length, c in zip(lengths, coeffs):
+        while m < length:
+            layer = step(layer, steps)
+            m += 1
+        for point, mass in layer.items():
+            total[point] = total.get(point, 0) + c * mass
+    return total
+
+
 @functools.lru_cache(maxsize=16)
 def _displacement_table(spec: CompositeSpec, n: int) -> dict:
-    """[z^d]S^n for every displacement d: sum_m [x^m]P(x)^n * [z^d]A^m.
-
-    The atomic layers A^m hold plain ints; each weighted length adds its
-    layer to the table once, scaled by its coefficient of P(x)^n.
-    """
+    """[z^d]S^n for every displacement d: sum_m [x^m]P(x)^n * [z^d]A^m."""
     # A^m has at most sum_i 2^i C(k, i) C(m, i) points (those with |d|_1 <= m);
     # over m <= N = n*degree that sums to sum_i 2^i C(k, i) C(N + 1, i + 1),
     # and every point is moved by 2k steps
@@ -123,18 +135,7 @@ def _displacement_table(spec: CompositeSpec, n: int) -> dict:
     _check_budget(2 * spec.k * sum(2 ** i * math.comb(spec.k, i) * math.comb(top + 1, i + 1)
                                    for i in range(spec.k + 1)),
                   "displacement table updates")
-    lengths, coeffs = _weight_power(spec.weights, n)
-    steps = atomic_displacements(spec)
-    layer = {(0,) * spec.k: 1}
-    table: dict = {}
-    m = 0
-    for length, c in zip(lengths, coeffs):
-        while m < length:
-            layer = _convolve(layer, steps)
-            m += 1
-        for point, mass in layer.items():
-            table[point] = table.get(point, 0) + c * mass
-    return table
+    return _weighted_layers(spec, n, (0,) * spec.k, _convolve)
 
 
 def _binomial_row(lengths: Sequence[int], d: int) -> tuple[int, ...]:
@@ -164,6 +165,7 @@ def count_unconstrained(spec: CompositeSpec, u: Sequence[int], v: Sequence[int],
     delta = tuple(b - a for a, b in zip(u, v))
     if spec.kind is AtomicKind.AXIS:
         return _displacement_table(spec, n).get(delta, 0)
+    _check_budget(_kernel_words(spec, n), "diagonal kernel words")
     lengths, coeffs = _weight_power(spec.weights, n)
     rows = [_binomial_row(lengths, d) for d in delta]
     return sum(map(math.prod, zip(coeffs, *rows)))
@@ -231,16 +233,34 @@ def count_reflection(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n:
 
 def _signed_sum_cost(spec: CompositeSpec, n: int) -> int:
     # k!*2^k terms: a diagonal term sums a product over the atomic lengths
-    # of P(x)^n, an axis term is one table lookup.  Weights are >= 0, so
-    # those lengths are the n-fold sums of the weighted lengths: they lie in
-    # n*a + g*N up to n*degree, with a the least weighted length and g the
-    # gcd of the differences.  Counting them so never expands P(x)^n.
+    # of P(x)^n, an axis term is one table lookup.  The diagonal kernel also
+    # pays for the memory its integers take.
     terms = math.factorial(spec.k) * 2 ** spec.k
     if spec.kind is AtomicKind.AXIS:
         return terms
+    return terms * _length_bound(spec, n) + _kernel_words(spec, n)
+
+
+def _length_bound(spec: CompositeSpec, n: int) -> int:
+    # weights are >= 0, so the atomic lengths of P(x)^n are the n-fold sums
+    # of the weighted lengths: they lie in n*a + g*N up to n*degree, with a
+    # the least weighted length and g the gcd of the differences.  Counting
+    # them so never expands P(x)^n.
     lengths = [m for m, w in enumerate(spec.weights) if w]
     g = math.gcd(*(m - lengths[0] for m in lengths))
-    return terms * (n * (spec.degree - lengths[0]) // g + 1 if g else 1)
+    return n * (spec.degree - lengths[0]) // g + 1 if g else 1
+
+
+def _kernel_words(spec: CompositeSpec, n: int) -> int:
+    """64-bit words of the L coefficients and 2k^2 binomial rows of the diagonal kernel.
+
+    With D the lcm of the weight denominators, D^n [x^m]P(x)^n <= (D*P(1))^n and
+    C(m, j) <= 2^(n*degree), so a coefficient times k binomials has at most
+    n*log2(D*P(1)) + k*n*degree bits.
+    """
+    d = math.lcm(*(w.denominator for w in spec.weights))
+    bits = math.ceil(n * math.log2(d * sum(spec.weights)) + spec.k * n * spec.degree)
+    return (2 * spec.k ** 2 + 1) * _length_bound(spec, n) * (bits // 64 + 1)
 
 
 def _chamber_state_bound(spec: CompositeSpec, u: Sequence[int], n: int) -> int:
@@ -249,64 +269,35 @@ def _chamber_state_bound(spec: CompositeSpec, u: Sequence[int], n: int) -> int:
     return math.comb(box, spec.k)
 
 
-def _confined_atomic_step(frontier: dict, steps: Sequence[tuple[int, ...]]) -> dict:
-    out: dict = {}
-    for point, mass in frontier.items():
-        for step in steps:
-            target = tuple(p + s for p, s in zip(point, step))
-            if not in_chamber(target):
-                continue
-            if target in out:
-                out[target] += mass
-            else:
-                out[target] = mass
-    return out
+def _confined_step(layer: dict, steps: Sequence[tuple[int, ...]]) -> dict:
+    return {point: mass for point, mass in _convolve(layer, steps).items() if in_chamber(point)}
 
 
-def _confined_composite_step(frontier: dict, steps: Sequence[tuple[int, ...]],
-                             weights: Sequence) -> dict:
-    zero = weights[0] * 0
-    acc: dict = {}
-    layer = frontier
-    for m, w in enumerate(weights):
-        if m > 0:
-            layer = _confined_atomic_step(layer, steps)
-        if w:
-            for point, mass in layer.items():
-                acc[point] = acc.get(point, zero) + w * mass
-    return acc
+def _confined_frontier(spec: CompositeSpec, u: Sequence[int], n: int) -> dict:
+    """Confined counts of n composite steps from u, by end point.
 
-
-def _confined_frontier(spec: CompositeSpec, u: Sequence[int], n: int,
-                       state_budget: int) -> dict:
+    Confinement is atomic-strict: these are the confined atomic walks of each
+    length m, cut into n groups that weigh [x^m]P(x)^n in all.
+    """
     u = check_chamber_point(spec, u)
     _check_length(n)
-    _check_budget(_chamber_state_bound(spec, u, n), "reachable chamber states", state_budget)
-    steps = atomic_displacements(spec)
-    weights = _weight_values(spec)
-    frontier = {u: weights[0] * 0 + 1}
-    for _ in range(n):
-        frontier = _confined_composite_step(frontier, steps, weights)
-    return frontier
+    _check_budget(_chamber_state_bound(spec, u, n), "reachable chamber states")
+    return _weighted_layers(spec, n, u, _confined_step)
 
 
-def count_confined(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int,
-                   state_budget: int = DEFAULT_STATE_BUDGET):
+def count_confined(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int):
     """Dynamic-programming oracle for confined walk counts.
 
     Every intermediate atomic position within each composite step is kept
     strictly inside the chamber.
     """
     v = check_chamber_point(spec, v)
-    frontier = _confined_frontier(spec, u, n, state_budget)
-    return frontier.get(v, 0)
+    return _confined_frontier(spec, u, n).get(v, 0)
 
 
-def count_confined_free(spec: CompositeSpec, u: Sequence[int], n: int,
-                        state_budget: int = DEFAULT_STATE_BUDGET):
+def count_confined_free(spec: CompositeSpec, u: Sequence[int], n: int):
     """Total confined count over all endpoints: the DP frontier mass after n steps."""
-    frontier = _confined_frontier(spec, u, n, state_budget)
-    return sum(frontier.values())
+    return sum(_confined_frontier(spec, u, n).values())
 
 
 def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
@@ -352,6 +343,7 @@ def _chamber_points_upto(spec: CompositeSpec, bound: int) -> Iterator[tuple[int,
 def format_count(value) -> str:
     """Serialize an exact count: decimal string, or 'p/q' for non-integers.
 
-    ``str`` of a ``Fraction`` with denominator 1 is its numerator alone.
+    ``Decimal`` prints the digits: it has no int-to-str length limit.
     """
-    return str(value)
+    num, den = Fraction(value).as_integer_ratio()
+    return str(Decimal(num)) + (f"/{Decimal(den)}" if den != 1 else "")

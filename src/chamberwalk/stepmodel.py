@@ -86,10 +86,6 @@ class CompositeSpec:
         moved = sum(v) - sum(u) if self.kind is AtomicKind.AXIS else v[0] - u[0]
         return moved % 2 == n * self.parity % 2
 
-    @property
-    def integer_weights(self) -> bool:
-        return all(w.denominator == 1 for w in self.weights)
-
     # -- weight polynomial -------------------------------------------------
 
     def poly(self, x: Fraction) -> Fraction:
@@ -104,19 +100,6 @@ class CompositeSpec:
         for m in range(self.degree, 0, -1):
             acc = acc * x + m * self.weights[m]
         return acc
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "k": self.k,
-            "weights": [str(w) for w in self.weights],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CompositeSpec":
-        return cls(AtomicKind(obj["kind"]), int(obj["k"]), [Fraction(w) for w in obj["weights"]])
 
 
 def s_one(spec: CompositeSpec) -> Fraction:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,14 @@ class TestCount:
         assert res.exit_code == 0 and res.exception is None
         assert "Traceback" not in res.output
         assert json.loads(res.output)["count"] == str(math.comb(1200, 600) // 601)
+
+    def test_count_above_int_str_limit(self):
+        # 4811 digits: past the interpreter's default int-to-str limit of 4300
+        res = run("count", "--kind", "diagonal", "--k", "1", "--weights", "0,1",
+                  "--u", "1", "--v", "1", "--n", "16000", "--method", "reflection")
+        assert res.exit_code == 0, res.output
+        count = json.loads(res.output)["count"]
+        assert len(count) == 4811 and Decimal(count) == math.comb(16000, 8000) // 8001
 
     def test_resource_error_exit_3(self):
         res = run("count", "--kind", "axis", "--k", "3", "--weights", "0,1",
@@ -222,8 +231,10 @@ class TestErrorContract:
           "--u", _odd(6), "--n", "30", "--method", "reflection"), 3),
         (("count", "--kind", "diagonal", "--k", "2", "--weights", "0,1,1",
           "--u", "1,3", "--n", "1000000", "--method", "reflection"), 3),
+        (("count", "--kind", "diagonal", "--k", "2", "--weights", "0,1,1",
+          "--u", "1,3", "--v", "1,3", "--n", "1000000", "--method", "reflection"), 3),
     ], ids=["asym-k16", "asym-k22", "signed-sum-k9", "preset-k9", "free-lockstep-k6",
-            "free-long-walk"])
+            "free-long-walk", "long-walk-bits"])
     def test_large_k_answers_or_refuses_quickly(self, args, code):
         env = dict(os.environ)
         package_root = str(Path(chamberwalk.__file__).parent.parent)

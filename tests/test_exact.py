@@ -27,21 +27,42 @@ def _shift_sum(dist, steps):
     return out
 
 
+def _atomic_steps(spec):
+    if spec.kind is AtomicKind.AXIS:
+        return [(tuple(s * (i == j) for i in range(spec.k)), 1)
+                for j in range(spec.k) for s in (1, -1)]
+    return [(eps, 1) for eps in itertools.product((1, -1), repeat=spec.k)]
+
+
 def _composite_step(spec):
     """The composite step's displacements and weights: sum_m w_m A^m."""
-    if spec.kind is AtomicKind.AXIS:
-        atomic = [tuple(s * (i == j) for i in range(spec.k))
-                  for j in range(spec.k) for s in (1, -1)]
-    else:
-        atomic = list(itertools.product((1, -1), repeat=spec.k))
     one, layer = {}, {(0,) * spec.k: 1}
     for w in spec.weights:
         # integer weights as ints: Fraction masses would make the oracle slow
         w = int(w) if w.denominator == 1 else w
         for point, mass in layer.items():
             one[point] = one.get(point, 0) + w * mass
-        layer = _shift_sum(layer, [(step, 1) for step in atomic])
+        layer = _shift_sum(layer, _atomic_steps(spec))
     return list(one.items())
+
+
+def _composite_dp(spec, u, n):
+    """Confined counts after n composite steps, one composite step at a time.
+
+    Each composite step walks up to degree atomic steps, keeps every atomic
+    position strictly inside the chamber, and weighs the walks of m atomic
+    steps by w_m, a Fraction as given.
+    """
+    frontier = {u: Fraction(1)}
+    for _ in range(n):
+        layer, frontier = frontier, {}
+        for m, w in enumerate(spec.weights):
+            if m:
+                layer = {p: mass for p, mass in _shift_sum(layer, _atomic_steps(spec)).items()
+                         if 0 < p[0] and all(a < b for a, b in zip(p, p[1:]))}
+            for point, mass in layer.items():
+                frontier[point] = frontier.get(point, 0) + w * mass
+    return frontier
 
 
 # spec -> [S^0, S^1, ...] as displacement dicts, extended one convolution at a time
@@ -221,6 +242,19 @@ def test_axis_kernel_matches_dp_and_convolution(weights, k, n, data):
     _check_kernel(AtomicKind.AXIS, weights, k, n, data)
 
 
+@settings(deadline=None, max_examples=80)
+@given(kind=st.sampled_from([AtomicKind.AXIS, AtomicKind.DIAGONAL]),
+       weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 3), n=st.integers(0, 8),
+       data=st.data())
+def test_dp_matches_composite_step_dp(kind, weights, k, n, data):
+    spec = _spec(kind, k, weights)
+    u = _chamber_point(data, kind, k)
+    v = _chamber_point(data, kind, k)
+    frontier = _composite_dp(spec, u, n)
+    assert exact.count_confined(spec, u, v, n) == frontier.get(v, 0)
+    assert exact.count_confined_free(spec, u, n) == sum(frontier.values())
+
+
 def test_deep_axis_reflection():
     """The axis table takes no recursion per step: n above the default recursion limit."""
     n = 1100
@@ -253,7 +287,7 @@ def test_endpoint_filter(kind, k, weights, u):
     """Rejected end points have DP count 0; on these models every kept one is reachable."""
     spec = _spec(kind, k, weights)
     for n in range(6):
-        frontier = exact._confined_frontier(spec, u, n, exact.DEFAULT_STATE_BUDGET)
+        frontier = exact._confined_frontier(spec, u, n)
         rejected = []
         for v in exact._chamber_points_upto(spec, max(u) + n * spec.degree):
             if exact._reachable(spec, u, v, n):
@@ -347,7 +381,12 @@ def test_budget_guard():
                                    tuple(range(1, 18, 2)), tuple(range(1, 18, 2)), 2),
     lambda: exact.count_reflection(CompositeSpec(AtomicKind.DIAGONAL, 7, [0, 1, 1]),
                                    tuple(range(1, 14, 2)), tuple(range(1, 14, 2)), 60),
-], ids=["axis-table", "axis-unconstrained", "free-end-points", "signed-sum", "signed-sum-lengths"])
+    lambda: exact.count_reflection(CompositeSpec(AtomicKind.DIAGONAL, 2, [0, 1, 1]),
+                                   (1, 3), (1, 3), 10 ** 6),
+    lambda: exact.count_unconstrained(CompositeSpec(AtomicKind.DIAGONAL, 2, [0, 1, 1]),
+                                      (1, 3), (1, 3), 20000),
+], ids=["axis-table", "axis-unconstrained", "free-end-points", "signed-sum", "signed-sum-lengths",
+        "kernel-bits", "unconstrained-kernel-bits"])
 def test_reflection_budget_guard(count):
     with pytest.raises(exact.ResourceBudgetError, match="exceeds budget of 10000000"):
         count()
@@ -360,15 +399,28 @@ def test_reflection_budget_guard(count):
 def test_signed_sum_cost_bounds_the_lengths_without_expanding(weights, n):
     spec = CompositeSpec(AtomicKind.DIAGONAL, 2, weights)
     lengths = len(exact._weight_power(spec.weights, n)[0])
-    cost = exact._signed_sum_cost(spec, n) // 8
-    assert cost >= lengths
+    bound = exact._length_bound(spec, n)
+    assert bound >= lengths and exact._signed_sum_cost(spec, n) >= 8 * bound
     weighted = [m for m, w in enumerate(spec.weights) if w]
     if len({b - a for a, b in zip(weighted, weighted[1:])}) <= 1:
         # weighted lengths in arithmetic progression: their n-fold sums fill it
-        assert cost == lengths
+        assert bound == lengths
+
+
+@pytest.mark.parametrize("n,over", [(14, False), (20000, True), (10 ** 6, True)])
+def test_kernel_words_weigh_the_bit_size(n, over):
+    """The diagonal cost charges the kernel's integers, in 64-bit words."""
+    spec = CompositeSpec(AtomicKind.DIAGONAL, 2, [0, 1, 1])
+    # (2k^2 + 1)*L integers of n*log2(P(1)) + k*n*degree bits
+    words = 9 * (n + 1) * ((5 * n) // 64 + 1)
+    assert exact._kernel_words(spec, n) == words
+    assert exact._signed_sum_cost(spec, n) == 8 * (n + 1) + words
+    assert (exact._signed_sum_cost(spec, n) > exact.DEFAULT_STATE_BUDGET) is over
 
 
 def test_format_count():
     assert exact.format_count(5) == "5"
     assert exact.format_count(Fraction(13, 36)) == "13/36"
     assert exact.format_count(Fraction(4, 2)) == "2"
+    # past the interpreter's default int-to-str limit of 4300 digits
+    assert exact.format_count(Fraction(10 ** 5000 + 1, 3)) == "1" + "0" * 4999 + "1/3"

@@ -46,14 +46,6 @@ class TestSpecValidation:
     def test_trailing_zeros_trimmed(self):
         assert axis(1, [0, 1, 0, 0]).weights == axis(1, [0, 1]).weights
 
-    def test_json_round_trip(self):
-        spec = axis(2, [Fraction(1, 2), 1, Fraction(3, 7)])
-        assert CompositeSpec.from_json(spec.to_json()) == spec
-
-    def test_integer_weights_flag(self):
-        assert axis(1, [0, 2]).integer_weights
-        assert not axis(1, [0, Fraction(1, 2)]).integer_weights
-
 
 class TestGeneratingFunction:
     # S(1) = P(2k) for axis steps, P(2^k) for diagonal steps
