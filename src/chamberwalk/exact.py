@@ -15,6 +15,9 @@ and the confined DP (which keeps only chamber points) walk the atomic
 layers once by sparse convolution and add each one weighted.  Free-endpoint
 sums by reflection visit only the end points an unconstrained walk can reach.
 
+Every route estimates its work before it runs and raises
+``ResourceBudgetError`` over ``DEFAULT_STATE_BUDGET`` (``_check_work``).
+
 All arithmetic is exact: Python ints when every weight is an integer,
 ``Fraction`` otherwise.  Confinement is atomic-strict: every intermediate
 atomic position inside a composite step must stay strictly inside the
@@ -43,13 +46,23 @@ DEFAULT_STATE_BUDGET = 10 ** 7
 
 
 class ResourceBudgetError(RuntimeError):
-    """The estimated work of an exact route exceeds the budget."""
+    """The work ``what`` of an exact route, estimated at ``estimate``, exceeds ``budget``."""
+
+    def __init__(self, what: str, estimate: int, budget: int):
+        super().__init__(f"{what}: estimate {estimate} exceeds budget of {budget}")
+        self.what, self.estimate, self.budget = what, estimate, budget
 
 
-def _check_budget(cost: int, what: str) -> None:
-    if cost > DEFAULT_STATE_BUDGET:
-        raise ResourceBudgetError(
-            f"{what}: estimate {cost} exceeds budget of {DEFAULT_STATE_BUDGET}")
+def _check_work(what: str, ops: int, integers: int = 0, bits: int = 0) -> None:
+    """Refuses an exact route whose estimated work is over the budget.
+
+    The work is ``ops`` operations, each of about the same time at any
+    integer size, plus the 64-bit words of ``integers`` integers of up to
+    ``bits`` bits, for a route whose integers are long enough to matter.
+    """
+    work = ops + integers * (bits // 64 + 1)
+    if work > DEFAULT_STATE_BUDGET:
+        raise ResourceBudgetError(what, work, DEFAULT_STATE_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +138,31 @@ def _weighted_layers(spec: CompositeSpec, n: int, start: tuple[int, ...],
     return total
 
 
+def _layer_work(spec: CompositeSpec, n: int, start: Sequence[int] | None = None) -> int:
+    """Dict updates of ``_weighted_layers``: each atomic step moves each point of layers m < N.
+
+    N = n*degree.  Layer m holds at most the points within m steps: the l1
+    ball sum_i 2^i C(k, i) C(m, i) for axis steps, the box (m+1)^k (summed,
+    at most (N+1)^(k+1)) for diagonal ones.  A confined layer from ``start``
+    also holds at most the chamber points with x_k <= b + m, b = max(start):
+    C(b + m, k), or C((b + m + 1)//2, k) for diagonal steps, which keep one
+    parity.  The smaller of the two sums over m <= N is taken, in closed form.
+    """
+    k, top, axis = spec.k, n * spec.degree, spec.kind is AtomicKind.AXIS
+    work = sum(2 ** i * math.comb(k, i) * math.comb(top + 1, i + 1) for i in range(k + 1)) \
+        if axis else (top + 1) ** (k + 1)
+    if start is not None:
+        # the diagonal sum takes each value of (b + m + 1)//2 at most twice
+        b = max(start)
+        work = min(work, math.comb(b + top + 1, k + 1) if axis
+                   else 2 * math.comb((b + top + 3) // 2, k + 1))
+    return (2 * k if axis else 2 ** k) * work
+
+
 @functools.lru_cache(maxsize=16)
 def _displacement_table(spec: CompositeSpec, n: int) -> dict:
     """[z^d]S^n for every displacement d: sum_m [x^m]P(x)^n * [z^d]A^m."""
-    # A^m has at most sum_i 2^i C(k, i) C(m, i) points (those with |d|_1 <= m);
-    # over m <= N = n*degree that sums to sum_i 2^i C(k, i) C(N + 1, i + 1),
-    # and every point is moved by 2k steps
-    top = n * spec.degree
-    _check_budget(2 * spec.k * sum(2 ** i * math.comb(spec.k, i) * math.comb(top + 1, i + 1)
-                                   for i in range(spec.k + 1)),
-                  "displacement table updates")
+    _check_work("displacement table updates", _layer_work(spec, n))
     return _weighted_layers(spec, n, (0,) * spec.k, _convolve)
 
 
@@ -165,7 +193,7 @@ def count_unconstrained(spec: CompositeSpec, u: Sequence[int], v: Sequence[int],
     delta = tuple(b - a for a, b in zip(u, v))
     if spec.kind is AtomicKind.AXIS:
         return _displacement_table(spec, n).get(delta, 0)
-    _check_budget(_kernel_words(spec, n), "diagonal kernel words")
+    _check_work("diagonal kernel work", *_term_size(spec, n))
     lengths, coeffs = _weight_power(spec.weights, n)
     rows = [_binomial_row(lengths, d) for d in delta]
     return sum(map(math.prod, zip(coeffs, *rows)))
@@ -179,26 +207,10 @@ def signed_permutations(k: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """
     eps_signs = [math.prod(eps) for eps in itertools.product((1, -1), repeat=k)]
     for perm in itertools.permutations(range(k)):
-        sgn = _perm_sign(perm)
+        sgn = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
         # product() walks the sign vectors in the order eps_signs lists them
         images = itertools.product(*[((src, 1), (src, -1)) for src in perm])
         yield from zip(images, [sgn * s for s in eps_signs])
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def count_reflection(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int):
@@ -211,7 +223,8 @@ def count_reflection(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n:
     u = check_chamber_point(spec, u)
     v = check_chamber_point(spec, v)
     _check_length(n)
-    _check_budget(_signed_sum_cost(spec, n), "signed sum work")
+    ops, integers, bits = _term_size(spec, n)
+    _check_work("signed sum work", math.factorial(spec.k) * 2 ** spec.k * ops, integers, bits)
     if spec.kind is AtomicKind.AXIS:
         table = _displacement_table(spec, n)
 
@@ -231,42 +244,26 @@ def count_reflection(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n:
     return total
 
 
-def _signed_sum_cost(spec: CompositeSpec, n: int) -> int:
-    # k!*2^k terms: a diagonal term sums a product over the atomic lengths
-    # of P(x)^n, an axis term is one table lookup.  The diagonal kernel also
-    # pays for the memory its integers take.
-    terms = math.factorial(spec.k) * 2 ** spec.k
-    if spec.kind is AtomicKind.AXIS:
-        return terms
-    return terms * _length_bound(spec, n) + _kernel_words(spec, n)
+def _term_size(spec: CompositeSpec, n: int) -> tuple[int, int, int]:
+    """Operations of one kernel term, and the integers the kernel holds with their bits.
 
-
-def _length_bound(spec: CompositeSpec, n: int) -> int:
-    # weights are >= 0, so the atomic lengths of P(x)^n are the n-fold sums
-    # of the weighted lengths: they lie in n*a + g*N up to n*degree, with a
-    # the least weighted length and g the gcd of the differences.  Counting
-    # them so never expands P(x)^n.
-    lengths = [m for m, w in enumerate(spec.weights) if w]
-    g = math.gcd(*(m - lengths[0] for m in lengths))
-    return n * (spec.degree - lengths[0]) // g + 1 if g else 1
-
-
-def _kernel_words(spec: CompositeSpec, n: int) -> int:
-    """64-bit words of the L coefficients and 2k^2 binomial rows of the diagonal kernel.
-
-    With D the lcm of the weight denominators, D^n [x^m]P(x)^n <= (D*P(1))^n and
+    An axis term is one table lookup.  A diagonal term sums a product over
+    the L atomic lengths of P(x)^n, from L coefficients and 2k^2 binomial
+    rows.  Weights are >= 0, so the lengths are the n-fold sums of the
+    weighted lengths: they lie in n*a + g*N up to n*degree, with a the least
+    weighted length and g the gcd of the differences.  With D the lcm of the
+    weight denominators, D^n [x^m]P(x)^n <= (D*P(1))^n and
     C(m, j) <= 2^(n*degree), so a coefficient times k binomials has at most
-    n*log2(D*P(1)) + k*n*degree bits.
+    n*log2(D*P(1)) + k*n*degree bits.  None of this expands P(x)^n.
     """
+    if spec.kind is AtomicKind.AXIS:
+        return 1, 0, 0
+    weighted = [m for m, w in enumerate(spec.weights) if w]
+    g = math.gcd(*(m - weighted[0] for m in weighted))
+    lengths = n * (spec.degree - weighted[0]) // g + 1 if g else 1
     d = math.lcm(*(w.denominator for w in spec.weights))
     bits = math.ceil(n * math.log2(d * sum(spec.weights)) + spec.k * n * spec.degree)
-    return (2 * spec.k ** 2 + 1) * _length_bound(spec, n) * (bits // 64 + 1)
-
-
-def _chamber_state_bound(spec: CompositeSpec, u: Sequence[int], n: int) -> int:
-    # reachable chamber states sit inside x_k <= u_k + n*d
-    box = max(u) + n * spec.degree
-    return math.comb(box, spec.k)
+    return lengths, (2 * spec.k ** 2 + 1) * lengths, bits
 
 
 def _confined_step(layer: dict, steps: Sequence[tuple[int, ...]]) -> dict:
@@ -281,7 +278,7 @@ def _confined_frontier(spec: CompositeSpec, u: Sequence[int], n: int) -> dict:
     """
     u = check_chamber_point(spec, u)
     _check_length(n)
-    _check_budget(_chamber_state_bound(spec, u, n), "reachable chamber states")
+    _check_work("confined DP updates", _layer_work(spec, n, u))
     return _weighted_layers(spec, n, u, _confined_step)
 
 
@@ -314,7 +311,10 @@ def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
     # odd and the even ones for diagonal steps
     points = math.comb(box, spec.k) if spec.kind is AtomicKind.AXIS \
         else math.comb((box + 1) // 2, spec.k) + math.comb(box // 2, spec.k)
-    _check_budget(points * _signed_sum_cost(spec, n), "free-endpoint signed sum work")
+    # k!*2^k terms per end point, each end point building the kernel anew
+    ops, integers, bits = _term_size(spec, n)
+    _check_work("free-endpoint signed sum work",
+                points * math.factorial(spec.k) * 2 ** spec.k * ops, points * integers, bits)
     total = 0
     for v in _chamber_points_upto(spec, box):
         if _reachable(spec, u, v, n):

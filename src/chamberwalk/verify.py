@@ -7,7 +7,6 @@ code 1.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from typing import Callable, Sequence

@@ -233,8 +233,12 @@ class TestErrorContract:
           "--u", "1,3", "--n", "1000000", "--method", "reflection"), 3),
         (("count", "--kind", "diagonal", "--k", "2", "--weights", "0,1,1",
           "--u", "1,3", "--v", "1,3", "--n", "1000000", "--method", "reflection"), 3),
+        (("count", "--kind", "diagonal", "--k", "1", "--weights", "0,1",
+          "--u", "1", "--v", "1", "--n", "20000", "--method", "dp"), 3),
+        (("count", "--kind", "diagonal", "--k", "1", "--weights", "0,1",
+          "--u", "1", "--n", "20000", "--method", "dp"), 3),
     ], ids=["asym-k16", "asym-k22", "signed-sum-k9", "preset-k9", "free-lockstep-k6",
-            "free-long-walk", "long-walk-bits"])
+            "free-long-walk", "long-walk-bits", "dp-long-walk", "dp-free-long-walk"])
     def test_large_k_answers_or_refuses_quickly(self, args, code):
         env = dict(os.environ)
         package_root = str(Path(chamberwalk.__file__).parent.parent)

@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -370,26 +371,49 @@ def test_budget_guard():
         exact.count_confined(spec, (1, 2, 3), (1, 2, 3), 10 ** 6)
 
 
-@pytest.mark.parametrize("count", [
-    lambda: exact.count_reflection(CompositeSpec(AtomicKind.AXIS, 3, [1, 1, 1]),
-                                   (1, 2, 3), (1, 2, 3), 400),
-    lambda: exact.count_unconstrained(CompositeSpec(AtomicKind.AXIS, 3, [1, 1, 1]),
-                                      (1, 2, 3), (1, 2, 3), 400),
-    lambda: exact.count_reflection_free(CompositeSpec(AtomicKind.DIAGONAL, 6, [0, 1]),
-                                        (1, 3, 5, 7, 9, 11), 60),
-    lambda: exact.count_reflection(CompositeSpec(AtomicKind.DIAGONAL, 9, [0, 1]),
-                                   tuple(range(1, 18, 2)), tuple(range(1, 18, 2)), 2),
-    lambda: exact.count_reflection(CompositeSpec(AtomicKind.DIAGONAL, 7, [0, 1, 1]),
-                                   tuple(range(1, 14, 2)), tuple(range(1, 14, 2)), 60),
-    lambda: exact.count_reflection(CompositeSpec(AtomicKind.DIAGONAL, 2, [0, 1, 1]),
-                                   (1, 3), (1, 3), 10 ** 6),
-    lambda: exact.count_unconstrained(CompositeSpec(AtomicKind.DIAGONAL, 2, [0, 1, 1]),
-                                      (1, 3), (1, 3), 20000),
+_LONG_LOCKSTEP = CompositeSpec(AtomicKind.DIAGONAL, 1, [0, 1])
+
+
+@pytest.mark.parametrize("what,count", [
+    ("displacement table updates",
+     lambda: exact.count_reflection(CompositeSpec(AtomicKind.AXIS, 3, [1, 1, 1]),
+                                    (1, 2, 3), (1, 2, 3), 400)),
+    ("displacement table updates",
+     lambda: exact.count_unconstrained(CompositeSpec(AtomicKind.AXIS, 3, [1, 1, 1]),
+                                       (1, 2, 3), (1, 2, 3), 400)),
+    ("free-endpoint signed sum work",
+     lambda: exact.count_reflection_free(CompositeSpec(AtomicKind.DIAGONAL, 6, [0, 1]),
+                                         (1, 3, 5, 7, 9, 11), 60)),
+    ("signed sum work",
+     lambda: exact.count_reflection(CompositeSpec(AtomicKind.DIAGONAL, 9, [0, 1]),
+                                    tuple(range(1, 18, 2)), tuple(range(1, 18, 2)), 2)),
+    ("signed sum work",
+     lambda: exact.count_reflection(CompositeSpec(AtomicKind.DIAGONAL, 7, [0, 1, 1]),
+                                    tuple(range(1, 14, 2)), tuple(range(1, 14, 2)), 60)),
+    ("signed sum work",
+     lambda: exact.count_reflection(CompositeSpec(AtomicKind.DIAGONAL, 2, [0, 1, 1]),
+                                    (1, 3), (1, 3), 10 ** 6)),
+    ("diagonal kernel work",
+     lambda: exact.count_unconstrained(CompositeSpec(AtomicKind.DIAGONAL, 2, [0, 1, 1]),
+                                       (1, 3), (1, 3), 20000)),
+    ("confined DP updates", lambda: exact.count_confined(_LONG_LOCKSTEP, (1,), (1,), 20000)),
+    ("confined DP updates", lambda: exact.count_confined_free(_LONG_LOCKSTEP, (1,), 20000)),
 ], ids=["axis-table", "axis-unconstrained", "free-end-points", "signed-sum", "signed-sum-lengths",
-        "kernel-bits", "unconstrained-kernel-bits"])
-def test_reflection_budget_guard(count):
-    with pytest.raises(exact.ResourceBudgetError, match="exceeds budget of 10000000"):
+        "kernel-bits", "unconstrained-kernel-bits", "dp-long-walk", "dp-free-long-walk"])
+def test_reflection_budget_guard(what, count):
+    with pytest.raises(exact.ResourceBudgetError) as err:
         count()
+    assert err.value.what == what and err.value.budget == exact.DEFAULT_STATE_BUDGET
+    assert err.value.estimate > err.value.budget
+    assert str(err.value) == f"{what}: estimate {err.value.estimate} exceeds budget of 10000000"
+
+
+def _estimate(count):
+    """The work a route charges before it runs, read from its refusal under a budget of -1."""
+    with mock.patch.object(exact, "DEFAULT_STATE_BUDGET", -1), \
+            pytest.raises(exact.ResourceBudgetError) as err:
+        count()
+    return err.value.estimate
 
 
 @settings(max_examples=150, deadline=None)
@@ -399,8 +423,11 @@ def test_reflection_budget_guard(count):
 def test_signed_sum_cost_bounds_the_lengths_without_expanding(weights, n):
     spec = CompositeSpec(AtomicKind.DIAGONAL, 2, weights)
     lengths = len(exact._weight_power(spec.weights, n)[0])
-    bound = exact._length_bound(spec, n)
-    assert bound >= lengths and exact._signed_sum_cost(spec, n) >= 8 * bound
+    bound, integers, bits = exact._term_size(spec, n)
+    assert bound >= lengths and integers == 9 * bound
+    # 8 signed-sum terms, each over every length, plus the kernel's words
+    work = 8 * bound + integers * (bits // 64 + 1)
+    assert _estimate(lambda: exact.count_reflection(spec, (1, 3), (1, 3), n)) == work
     weighted = [m for m, w in enumerate(spec.weights) if w]
     if len({b - a for a, b in zip(weighted, weighted[1:])}) <= 1:
         # weighted lengths in arithmetic progression: their n-fold sums fill it
@@ -409,13 +436,46 @@ def test_signed_sum_cost_bounds_the_lengths_without_expanding(weights, n):
 
 @pytest.mark.parametrize("n,over", [(14, False), (20000, True), (10 ** 6, True)])
 def test_kernel_words_weigh_the_bit_size(n, over):
-    """The diagonal cost charges the kernel's integers, in 64-bit words."""
+    """The diagonal kernel's work charges its integers, in 64-bit words."""
     spec = CompositeSpec(AtomicKind.DIAGONAL, 2, [0, 1, 1])
     # (2k^2 + 1)*L integers of n*log2(P(1)) + k*n*degree bits
+    assert exact._term_size(spec, n) == (n + 1, 9 * (n + 1), 5 * n)
     words = 9 * (n + 1) * ((5 * n) // 64 + 1)
-    assert exact._kernel_words(spec, n) == words
-    assert exact._signed_sum_cost(spec, n) == 8 * (n + 1) + words
-    assert (exact._signed_sum_cost(spec, n) > exact.DEFAULT_STATE_BUDGET) is over
+    work = _estimate(lambda: exact.count_reflection(spec, (1, 3), (1, 3), n))
+    assert work == 8 * (n + 1) + words
+    assert _estimate(lambda: exact.count_unconstrained(spec, (1, 3), (1, 3), n)) == n + 1 + words
+    assert (work > exact.DEFAULT_STATE_BUDGET) is over
+
+
+# the largest estimate/counted ratio seen over both kinds, WEIGHT_LISTS, k <= 3
+# and n <= 10 is about 15
+LAYER_WORK_SLACK = 32
+
+
+@settings(deadline=None, max_examples=80)
+@given(kind=st.sampled_from([AtomicKind.AXIS, AtomicKind.DIAGONAL]),
+       weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 3), n=st.integers(0, 10),
+       data=st.data())
+def test_layer_work_bounds_the_updates(kind, weights, k, n, data):
+    """counted <= estimate <= C*(counted + 1) for the table and the DP, which charge it."""
+    spec = _spec(kind, k, weights)
+    u = _chamber_point(data, kind, k)
+    counted = []
+
+    def counting(dist, steps):
+        counted.append(len(dist) * len(steps))
+        return convolve(dist, steps)
+
+    convolve = exact._convolve
+    for route, estimate in [(lambda: exact.count_confined_free(spec, u, n),
+                             exact._layer_work(spec, n, u)),
+                            (lambda: exact._displacement_table.__wrapped__(spec, n),
+                             exact._layer_work(spec, n))]:
+        assert _estimate(route) == estimate
+        counted.clear()
+        with mock.patch.object(exact, "_convolve", counting):
+            route()
+        assert sum(counted) <= estimate <= LAYER_WORK_SLACK * (sum(counted) + 1)
 
 
 def test_format_count():

@@ -32,3 +32,15 @@ def test_count_stdout_identical_under_optimize():
                                text=True)
     assert plain.returncode == optimized.returncode == 0, (plain.stderr, optimized.stderr)
     assert plain.stdout and plain.stdout == optimized.stdout
+
+
+def test_dp_budget_refusal_under_optimize():
+    """The DP's work check is no assert: the 20000-step walk is refused under -O too."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent),
+                                                      env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-O", "-m", "chamberwalk.cli", "count", "--kind",
+                          "diagonal", "--k", "1", "--weights", "0,1", "--u", "1", "--v", "1",
+                          "--n", "20000", "--method", "dp"], env=env, capture_output=True,
+                         text=True, timeout=10)
+    assert res.returncode == 3 and "budget" in res.stderr and not res.stdout
