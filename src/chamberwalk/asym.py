@@ -70,19 +70,6 @@ class ConvergenceReport:
 
 
 # ---------------------------------------------------------------------------
-# support / parity
-
-
-def support_positive(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int) -> bool:
-    """Necessary parity condition for a positive confined count.
-
-    Necessary but not sufficient for small n (reachability can fail even
-    when the parities line up).
-    """
-    return spec.parity_allows(check_chamber_point(spec, u), check_chamber_point(spec, v), n)
-
-
-# ---------------------------------------------------------------------------
 # log-space helpers
 
 
@@ -138,10 +125,8 @@ def asym_fixed(spec: CompositeSpec, u: Sequence[int], v: Sequence[int],
         + log_exact(endpoint)
         - _log_factorial_odd(k)
     )
-    supported = support_positive(spec, u, v, n)
-    log_value = base_log + float(n_power) * math.log(n) + constant_log
-    if not supported:
-        log_value = math.nan
+    supported = spec.parity_allows(u, v, n)
+    log_value = base_log + float(n_power) * math.log(n) + constant_log if supported else math.nan
     return AsymptoticEstimate(log_value=log_value, supported=supported)
 
 

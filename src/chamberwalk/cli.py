@@ -25,7 +25,6 @@ from chamberwalk import asym, exact, presets, verify
 from chamberwalk.stepmodel import AtomicKind, CompositeSpec
 
 EXIT_FAIL = 1
-EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 

@@ -12,8 +12,8 @@ Every count uses S = P(A): sum_m [x^m]P(x)^n times the count of atomic
 walks of length m, with [x^m]P(x)^n from one expansion.  For the diagonal
 kind [z^d]A^m = prod_j C(m, (m + d_j)/2) is a closed form; the axis table
 and the confined DP (which keeps only chamber points) walk the atomic
-layers once by sparse convolution and add each one weighted.  Free-endpoint
-sums by reflection visit only the end points an unconstrained walk can reach.
+layers once by sparse convolution and add each one weighted.  The free-endpoint
+sum by reflection is one Pfaffian of one-dimensional counts, over no end point.
 
 Every route estimates its work before it runs and raises
 ``ResourceBudgetError`` over ``DEFAULT_STATE_BUDGET`` (``_check_work``).
@@ -71,14 +71,9 @@ def _check_work(what: str, ops: int, integers: int = 0, bits: int = 0) -> None:
 
 def atomic_displacements(spec: CompositeSpec) -> list[tuple[int, ...]]:
     if spec.kind is AtomicKind.AXIS:
-        steps = []
-        for j in range(spec.k):
-            for sign in (1, -1):
-                step = [0] * spec.k
-                step[j] = sign
-                steps.append(tuple(step))
-        return steps
-    return [eps for eps in itertools.product((1, -1), repeat=spec.k)]
+        return [tuple(sign * (i == j) for i in range(spec.k))
+                for j in range(spec.k) for sign in (1, -1)]
+    return list(itertools.product((1, -1), repeat=spec.k))
 
 
 def _convolve(dist: dict, steps: Sequence[tuple[int, ...]]) -> dict:
@@ -184,8 +179,6 @@ def _check_length(n: int) -> None:
 def count_unconstrained(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int):
     """Coefficient of z^(v-u) in S(z)^n."""
     u, v = tuple(u), tuple(v)
-    if len(u) != spec.k or len(v) != spec.k:
-        raise ValueError("endpoint dimension mismatch")
     for p in (u, v):
         if not lattice_contains(spec, p):
             raise ValueError(f"{p} is not on the walk lattice")
@@ -288,8 +281,10 @@ def count_confined(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: i
     Every intermediate atomic position within each composite step is kept
     strictly inside the chamber.
     """
+    u = check_chamber_point(spec, u)
     v = check_chamber_point(spec, v)
-    return _confined_frontier(spec, u, n).get(v, 0)
+    _check_length(n)
+    return _confined_frontier(spec, u, n).get(v, 0) if spec.parity_allows(u, v, n) else 0
 
 
 def count_confined_free(spec: CompositeSpec, u: Sequence[int], n: int):
@@ -298,46 +293,75 @@ def count_confined_free(spec: CompositeSpec, u: Sequence[int], n: int):
 
 
 def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
-    """Free-endpoint total via the signed sum, over the end points a walk can reach.
+    """Free-endpoint total: de Bruijn's Pfaffian of the reflected one-dimensional counts.
 
-    Weights are nonnegative, so a confined count is at most the
-    unconstrained count; an end point that no unconstrained walk reaches
-    contributes 0 and is skipped.
+    f_i(x)[m] = b(m, x - u_i) - b(m, x + u_i), b(m, d) = [z^d](z + 1/z)^m, counts the
+    walks of m atomic steps from u_i to x above 0.  The confined count to v is
+    det[f_i(v_j)] under a product of length vectors: pointwise for diagonal steps, a
+    binomial convolution for axis steps.  Summed over 0 < v_1 < ... < v_k it is the
+    Pfaffian of a_ij = sum_(x<y) f_i(x) f_j(y) - f_j(x) f_i(y), bordered by sum_x f_i(x)
+    for odd k (de Bruijn 1955; Stembridge 1990).  For each group of lengths, x walks
+    down once from max(u) + max m, above which f vanishes, keeping sum_(y>x) f_j(y).
     """
     u = check_chamber_point(spec, u)
     _check_length(n)
-    box = max(u) + n * spec.degree
-    # lattice points below the box: every chamber point for axis steps, the
-    # odd and the even ones for diagonal steps
-    points = math.comb(box, spec.k) if spec.kind is AtomicKind.AXIS \
-        else math.comb((box + 1) // 2, spec.k) + math.comb(box // 2, spec.k)
-    # k!*2^k terms per end point, each end point building the kernel anew
-    ops, integers, bits = _term_size(spec, n)
-    _check_work("free-endpoint signed sum work",
-                points * math.factorial(spec.k) * 2 ** spec.k * ops, points * integers, bits)
-    total = 0
-    for v in _chamber_points_upto(spec, box):
-        if _reachable(spec, u, v, n):
-            total += count_reflection(spec, u, v, n)
-    return total
+    if spec.k == 1:  # both step kinds move the one coordinate by 1
+        spec = CompositeSpec(AtomicKind.DIAGONAL, 1, spec.weights)
+    k, top, axis = spec.k, n * spec.degree, spec.kind is AtomicKind.AXIS
+    # a convolution mixes the lengths, so axis vectors take every m <= top at once;
+    # pointwise products keep them apart and take 16 at a time, holding 16 binomial rows
+    box, size = max(u) + top, top + 1 if axis else _term_size(spec, n)[0]
+    chunk = size if axis else 16
+    # work: k(k-1) ring products per x, and P(2r) = (2r-1)(P(2r-2)+1) for the Pfaffian of
+    # order 2r along row 0, of size scalar products pointwise or t(t+1)/2 as a convolution,
+    # t <= size and t <= top + 2max(u) - 2x past the leading zeros at x, each costing its
+    # words, as do the rows held; each entry of f_i(x) and rows, a unit per 4096 bits
+    pfaffian = functools.reduce(lambda p, r: (r - 1) * (p + 1), range(4, k + k % 2 + 1, 2), 0)
+    products = (k * (k - 1) * (max(u) - 1) + pfaffian) * size * (size + 1) // 2 \
+        + k * (k - 1) * (size + 2) ** 3 // 12 if axis else (box * k * (k - 1) + pfaffian) * size
+    _check_work("free-endpoint Pfaffian work", (box * k * size + size * (2 * top + 3 - size) // 2)
+                * (top // 4096 + 1), products + min(size, chunk) * (top + 1), top)
+    lengths, coeffs = _weight_power(spec.weights, n)
+    confined, every = {}, range(top + 1) if axis else lengths
+    for start in range(0, len(every), chunk):
+        grid = every[start:start + chunk]
+        binomials = {m: list(itertools.accumulate(range(m), lambda c, j: c * (m - j) // (j + 1),
+                                                  initial=1)) for m in grid}
+        b = {m: {2 * j - m: c for j, c in enumerate(row)} for m, row in binomials.items()}
+        product = functools.partial(_ring_product, binomials if axis else None)
+        entries = {(i, j): [0] * len(grid) for i in range(k) for j in range(i + 1, k)}
+        tails = [[0] * len(grid)] * k
+        for x in range(max(u) + grid[-1], 0, -1):
+            f = [[b[m].get(x - ui, 0) - b[m].get(x + ui, 0) for m in grid] for ui in u]
+            for i, j in entries:
+                entries[i, j] = list(map(lambda a, p, q: a + p - q, entries[i, j],
+                                         product(f[i], tails[j]), product(f[j], tails[i])))
+            tails = [list(map(operator.add, t, fi)) for t, fi in zip(tails, f)]
+        entries.update({(i, k): tails[i] for i in range(k) if k % 2})
+        confined.update(zip(grid, _pfaffian(tuple(range(k + k % 2)), entries, product)))
+    return sum(c * confined[m] for m, c in zip(lengths, coeffs))
 
 
-def _reachable(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int) -> bool:
-    """False only when no unconstrained walk of n composite steps joins u to v.
+def _ring_product(binomials: dict | None, a: Sequence[int], b: Sequence[int]) -> list:
+    """a*b pointwise, or sum_j C(m, j) a_j b_(m-j) over the leading nonzeros with ``binomials``.
 
-    One atomic step moves every coordinate by 1 (diagonal) or one coordinate
-    by 1 (axis), and a walk makes at most n*degree atomic steps; the step
-    parity is ``CompositeSpec.parity_allows``.
+    C(m, j) interleaves j steps of some coordinates with m - j steps of the others.
     """
-    gaps = [abs(b - a) for a, b in zip(u, v)]
-    span = max(gaps) if spec.kind is AtomicKind.DIAGONAL else sum(gaps)
-    return span <= n * spec.degree and spec.parity_allows(u, v, n)
+    if binomials is None:
+        return list(map(operator.mul, a, b))
+    lo_a, lo_b = (next((j for j, c in enumerate(v) if c), len(v)) for v in (a, b))
+    return [sum(map(operator.mul, map(operator.mul, binomials[m][lo_a:m - lo_b + 1],
+                                      a[lo_a:m - lo_b + 1]), b[lo_b:m - lo_a + 1][::-1]))
+            for m in range(len(a))]
 
 
-def _chamber_points_upto(spec: CompositeSpec, bound: int) -> Iterator[tuple[int, ...]]:
-    for v in itertools.combinations(range(1, bound + 1), spec.k):
-        if lattice_contains(spec, v):
-            yield v
+def _pfaffian(rows: tuple[int, ...], entries: dict, product: Callable) -> list:
+    """Pfaffian over ``rows`` of the antisymmetric ``entries[i, j]``, i < j, along row 0."""
+    if len(rows) == 2:
+        return entries[rows]
+    terms = [product(entries[rows[0], j], _pfaffian(rows[1:p] + rows[p + 1:], entries, product))
+             for p, j in enumerate(rows[1:], 1)]
+    return [sum(t[::2]) - sum(t[1::2]) for t in zip(*terms)]
 
 
 def format_count(value) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from chamberwalk.asym import AsymptoticEstimate, support_positive
+from chamberwalk.asym import AsymptoticEstimate
 from chamberwalk.stepmodel import AtomicKind, CompositeSpec, check_chamber_point
 
 PRESET_NAMES = (
@@ -191,10 +191,6 @@ def preset_asym(instance: PresetInstance, n: int) -> AsymptoticEstimate:
     else:
         raise ValueError(f"unknown preset {name!r}")
 
-    supported = True
-    if v is not None:
-        supported = support_positive(instance.spec, u, v, instance.steps(n))
-    log_value = base_log + float(n_power) * logn + constant_log
-    if not supported:
-        log_value = math.nan
+    supported = v is None or instance.spec.parity_allows(u, v, instance.steps(n))
+    log_value = base_log + float(n_power) * logn + constant_log if supported else math.nan
     return AsymptoticEstimate(log_value=log_value, supported=supported)

@@ -25,11 +25,7 @@ class AtomicKind(Enum):
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     raise TypeError(f"weight must be int, Fraction or 'p/q' string, got {type(x).__name__}")
 

@@ -1,4 +1,4 @@
-"""Asymptotic evaluators, support predicate, convergence fitting."""
+"""Asymptotic evaluators, the parity rule they take as support, convergence fitting."""
 
 import math
 
@@ -13,18 +13,21 @@ RT_2 = CompositeSpec(AtomicKind.AXIS, 2, [0, 1])
 
 
 class TestSupport:
+    """``CompositeSpec.parity_allows``, the support rule of ``asym_fixed`` and the presets."""
+
     def test_lockstep_parity(self):
-        assert asym.support_positive(LOCKSTEP_1, (1,), (1,), 16)
-        assert not asym.support_positive(LOCKSTEP_1, (1,), (1,), 15)
+        assert LOCKSTEP_1.parity_allows((1,), (1,), 16)
+        assert not LOCKSTEP_1.parity_allows((1,), (1,), 15)
+        assert not asym.asym_fixed(LOCKSTEP_1, (1,), (1,), 15).supported
 
     def test_axis_parity(self):
-        assert asym.support_positive(RT_2, (1, 2), (1, 2), 4)
-        assert not asym.support_positive(RT_2, (1, 2), (1, 2), 5)
+        assert RT_2.parity_allows((1, 2), (1, 2), 4)
+        assert not RT_2.parity_allows((1, 2), (1, 2), 5)
 
     def test_mixed_parity_always_supported(self):
         spec = CompositeSpec(AtomicKind.AXIS, 1, [1, 1, 1])
-        assert asym.support_positive(spec, (1,), (1,), 3)
-        assert asym.support_positive(spec, (1,), (2,), 3)
+        assert spec.parity_allows((1,), (1,), 3)
+        assert spec.parity_allows((1,), (2,), 3)
 
 
 class TestLogExact:

@@ -95,8 +95,8 @@ class TestCount:
     @pytest.mark.parametrize("args", [
         ("count", "--kind", "axis", "--k", "3", "--weights", "1,1,1", "--u", "1,2,3",
          "--v", "1,2,3", "--n", "400", "--method", "reflection"),
-        ("count", "--kind", "diagonal", "--k", "6", "--weights", "0,1",
-         "--u", "1,3,5,7,9,11", "--n", "60", "--method", "reflection"),
+        ("count", "--kind", "axis", "--k", "2", "--weights", "1,1,1",
+         "--u", "1,2", "--n", "400", "--method", "reflection"),
         ("compare", "--kind", "axis", "--k", "3", "--weights", "1,1,1", "--u", "1,2,3",
          "--v", "1,2,3", "--grid", "100:400:100"),
         ("preset", "tangled-isolated", "--k", "3", "--n", "400"),
@@ -228,7 +228,7 @@ class TestErrorContract:
           "--u", _odd(9), "--v", _odd(9), "--n", "2", "--method", "reflection"), 3),
         (("preset", "watermelon", "--k", "9", "--n", "2"), 3),
         (("count", "--kind", "diagonal", "--k", "6", "--weights", "0,1",
-          "--u", _odd(6), "--n", "30", "--method", "reflection"), 3),
+          "--u", _odd(6), "--n", "20000", "--method", "reflection"), 3),
         (("count", "--kind", "diagonal", "--k", "2", "--weights", "0,1,1",
           "--u", "1,3", "--n", "1000000", "--method", "reflection"), 3),
         (("count", "--kind", "diagonal", "--k", "2", "--weights", "0,1,1",
@@ -251,6 +251,18 @@ class TestErrorContract:
             assert json.loads(res.stdout)["supported"] is True
         else:
             assert "budget" in res.stderr and not res.stdout
+
+    def test_dp_parity_exit_is_immediate(self):
+        """An odd walk cannot return to its start: the DP answers 0 without walking a layer."""
+        env = dict(os.environ)
+        package_root = str(Path(chamberwalk.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-m", "chamberwalk.cli", "count", "--kind",
+                              "diagonal", "--k", "1", "--weights", "0,1", "--u", "1", "--v", "1",
+                              "--n", "4469", "--method", "dp"], env=env, capture_output=True,
+                             text=True, timeout=10)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["count"] == "0"
 
     def test_internal_error_exit_4(self, monkeypatch):
         def broken(*args, **kwargs):

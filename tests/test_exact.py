@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chamberwalk import exact
-from chamberwalk.stepmodel import AtomicKind, CompositeSpec
+from chamberwalk.stepmodel import AtomicKind, CompositeSpec, lattice_contains
 
 LOCKSTEP_1 = CompositeSpec(AtomicKind.DIAGONAL, 1, [0, 1])
 RT_1 = CompositeSpec(AtomicKind.AXIS, 1, [0, 1])
@@ -264,16 +264,60 @@ def test_deep_axis_reflection():
         == exact.count_reflection(LOCKSTEP_1, (1,), (1,), n) == catalan
 
 
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=60)
 @given(kind=st.sampled_from([AtomicKind.AXIS, AtomicKind.DIAGONAL]),
-       weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 3), n=st.integers(0, 7),
+       weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 4), n=st.integers(0, 7),
        data=st.data())
 def test_reflection_free_equals_confined_free(kind, weights, k, n, data):
     if kind is AtomicKind.AXIS:
-        k, n = min(k, 2), min(n, 5)
+        k = min(k, 3)
     spec = _spec(kind, k, weights)
     u = _chamber_point(data, kind, k)
     assert exact.count_reflection_free(spec, u, n) == exact.count_confined_free(spec, u, n)
+
+
+def _half_line(m, x, u):
+    """Walks of m steps +-1 from u to x that stay above 0, by reflection in 0."""
+    def walks(d):
+        return math.comb(m, (m + d) // 2) if abs(d) <= m and (m + d) % 2 == 0 else 0
+    return walks(x - u) - walks(x + u)
+
+
+def _fixed_end_count(kind, u, v, n):
+    """Confined walks of n atomic steps from u to v, the end points summed one by one.
+
+    Diagonal steps: the type-B determinant det[f_i(v_j)] of the half-line
+    counts.  Axis steps (k = 2): the two coordinates take j and n - j of the
+    steps, interleaved in C(n, j) ways.
+    """
+    if kind is AtomicKind.DIAGONAL:
+        return sum(math.prod(_half_line(n, v[j], u[i]) for j, i in enumerate(perm))
+                   * (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+                   for perm in itertools.permutations(range(len(u))))
+    return sum(math.comb(n, j) * (_half_line(j, v[0], u[0]) * _half_line(n - j, v[1], u[1])
+                                  - _half_line(j, v[0], u[1]) * _half_line(n - j, v[1], u[0]))
+               for j in range(n + 1))
+
+
+@pytest.mark.parametrize("kind,u,n", [
+    (AtomicKind.DIAGONAL, (1, 3), 400),
+    (AtomicKind.DIAGONAL, (1, 3, 7), 60),
+    (AtomicKind.AXIS, (1, 2), 100),
+], ids=["lockstep-k2", "lockstep-k3", "random-turns-k2"])
+def test_free_count_sums_the_fixed_end_counts(kind, u, n):
+    """The Pfaffian equals the fixed-end counts summed over every end point in reach."""
+    stride = 2 if kind is AtomicKind.DIAGONAL else 1
+    points = range(max(u) + n, 0, -stride)
+    spec = CompositeSpec(kind, len(u), [0, 1])
+    total = sum(_fixed_end_count(kind, u, v[::-1], n)
+                for v in itertools.combinations(points, len(u)))
+    assert total > 0 and exact.count_reflection_free(spec, u, n) == total
+
+
+def test_free_lockstep_k4_equals_confined_free():
+    spec = CompositeSpec(AtomicKind.DIAGONAL, 4, [0, 1])
+    assert exact.count_reflection_free(spec, (1, 3, 5, 7), 30) \
+        == exact.count_confined_free(spec, (1, 3, 5, 7), 30)
 
 
 @pytest.mark.parametrize("kind,k,weights,u", [
@@ -285,16 +329,16 @@ def test_reflection_free_equals_confined_free(kind, weights, k, n, data):
     (AtomicKind.AXIS, 3, "0,1,1", (1, 2, 4)),
 ])
 def test_endpoint_filter(kind, k, weights, u):
-    """Rejected end points have DP count 0; on these models every kept one is reachable."""
+    """Every chamber point the parity rule rejects has DP count 0, and the DP says so at once."""
     spec = _spec(kind, k, weights)
     for n in range(6):
         frontier = exact._confined_frontier(spec, u, n)
         rejected = []
-        for v in exact._chamber_points_upto(spec, max(u) + n * spec.degree):
-            if exact._reachable(spec, u, v, n):
-                assert exact.count_unconstrained(spec, u, v, n) != 0
-            else:
+        for v in itertools.combinations(range(1, max(u) + n * spec.degree + 2), k):
+            if lattice_contains(spec, v) and not spec.parity_allows(u, v, n):
                 assert frontier.get(v, 0) == 0
+                with mock.patch.object(exact, "_confined_frontier", side_effect=AssertionError):
+                    assert exact.count_confined(spec, u, v, n) == 0
                 rejected.append(v)
         if n and spec.parity is not None:
             assert rejected
@@ -381,9 +425,9 @@ _LONG_LOCKSTEP = CompositeSpec(AtomicKind.DIAGONAL, 1, [0, 1])
     ("displacement table updates",
      lambda: exact.count_unconstrained(CompositeSpec(AtomicKind.AXIS, 3, [1, 1, 1]),
                                        (1, 2, 3), (1, 2, 3), 400)),
-    ("free-endpoint signed sum work",
-     lambda: exact.count_reflection_free(CompositeSpec(AtomicKind.DIAGONAL, 6, [0, 1]),
-                                         (1, 3, 5, 7, 9, 11), 60)),
+    ("free-endpoint Pfaffian work",
+     lambda: exact.count_reflection_free(CompositeSpec(AtomicKind.AXIS, 2, [1, 1, 1]),
+                                         (1, 2), 400)),
     ("signed sum work",
      lambda: exact.count_reflection(CompositeSpec(AtomicKind.DIAGONAL, 9, [0, 1]),
                                     tuple(range(1, 18, 2)), tuple(range(1, 18, 2)), 2)),
@@ -476,6 +520,53 @@ def test_layer_work_bounds_the_updates(kind, weights, k, n, data):
         with mock.patch.object(exact, "_convolve", counting):
             route()
         assert sum(counted) <= estimate <= LAYER_WORK_SLACK * (sum(counted) + 1)
+
+
+# the largest estimate/counted ratio seen over both kinds, WEIGHT_LISTS, k <= 4
+# and n <= 8 is about 3
+FREE_WORK_SLACK = 8
+
+
+def _leading_zeros(vector):
+    return next((j for j, c in enumerate(vector) if c), len(vector))
+
+
+@settings(deadline=None, max_examples=80)
+@given(kind=st.sampled_from([AtomicKind.AXIS, AtomicKind.DIAGONAL]),
+       weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 4), n=st.integers(0, 8),
+       data=st.data())
+def test_free_work_bounds_the_products(kind, weights, k, n, data):
+    """counted <= estimate <= C*(counted + 1) for the free-endpoint Pfaffian.
+
+    counted is the work the route must do: one unit per entry f_i(x)[m]
+    with x <= max(u) + m (above it the entry is 0), one per binomial row
+    entry, and one per scalar product in its ring products, where a binomial
+    convolution multiplies the pairs past the leading zeros of both factors.
+    At these lengths no integer has over 64 bits, so a word is a unit.
+    """
+    if kind is AtomicKind.AXIS:
+        k = min(k, 3)
+    spec = _spec(kind, k, weights)
+    u = _chamber_point(data, kind, k)
+    top = n * spec.degree
+    grid = range(top + 1) if kind is AtomicKind.AXIS and k > 1 \
+        else exact._weight_power(spec.weights, n)[0]
+    counted = [sum((max(u) + m) * k + m + 1 for m in grid)]
+
+    def counting(binomials, a, b):
+        if binomials is None:
+            counted.append(len(a))
+        else:
+            t = max(0, len(a) - _leading_zeros(a) - _leading_zeros(b))
+            counted.append(t * (t + 1) // 2)
+        return ring_product(binomials, a, b)
+
+    ring_product = exact._ring_product
+    route = lambda: exact.count_reflection_free(spec, u, n)  # noqa: E731
+    estimate = _estimate(route)
+    with mock.patch.object(exact, "_ring_product", counting):
+        route()
+    assert sum(counted) <= estimate <= FREE_WORK_SLACK * (sum(counted) + 1)
 
 
 def test_format_count():

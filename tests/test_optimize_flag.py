@@ -1,10 +1,13 @@
 """The package behaves the same under ``python -O``, which strips asserts."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import chamberwalk
 
@@ -20,18 +23,31 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements vanish under python -O: {found}"
 
 
-def test_count_stdout_identical_under_optimize():
+def _count_with_and_without_asserts(*count_args):
+    """stdout of ``chamberwalk count`` run plainly, after checking that -O prints the same."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent),
                                                       env.get("PYTHONPATH")]))
-    args = ["-m", "chamberwalk.cli", "count", "--kind", "axis", "--k", "2",
-            "--weights", "1,1,1", "--u", "1,2", "--v", "2,3", "--n", "2:8:3",
-            "--method", "both"]
+    args = ["-m", "chamberwalk.cli", "count", *count_args, "--method", "both"]
     plain = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
     optimized = subprocess.run([sys.executable, "-O", *args], env=env, capture_output=True,
                                text=True)
     assert plain.returncode == optimized.returncode == 0, (plain.stderr, optimized.stderr)
     assert plain.stdout and plain.stdout == optimized.stdout
+    return plain.stdout
+
+
+def test_count_stdout_identical_under_optimize():
+    _count_with_and_without_asserts("--kind", "axis", "--k", "2", "--weights", "1,1,1",
+                                    "--u", "1,2", "--v", "2,3", "--n", "2:8:3")
+
+
+@pytest.mark.parametrize("kind,u", [("axis", "1,2,4"), ("diagonal", "1,3,7")])
+def test_free_endpoint_stdout_identical_under_optimize(kind, u):
+    """The free-endpoint Pfaffian and the DP agree, with and without asserts."""
+    out = _count_with_and_without_asserts("--kind", kind, "--k", "3", "--weights", "1,0,2",
+                                          "--u", u, "--n", "0:6:3")
+    assert all(json.loads(line)["match"] for line in out.splitlines())
 
 
 def test_dp_budget_refusal_under_optimize():
