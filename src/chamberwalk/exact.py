@@ -18,15 +18,16 @@ sum by reflection is one Pfaffian of one-dimensional counts, over no end point.
 Every route estimates its work before it runs and raises
 ``ResourceBudgetError`` over ``DEFAULT_STATE_BUDGET`` (``_check_work``).
 
-All arithmetic is exact: Python ints when every weight is an integer,
-``Fraction`` otherwise.  Confinement is atomic-strict: every intermediate
-atomic position inside a composite step must stay strictly inside the
-chamber.
+Every route counts in Python ints: the one entry ``_exact_count`` scales
+rational weights by the lcm D of their denominators and divides the count
+by D^n once.  Confinement is atomic-strict: every intermediate atomic
+position inside a composite step must stay strictly inside the chamber.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import math
 import operator
@@ -89,24 +90,19 @@ def _convolve(dist: dict, steps: Sequence[tuple[int, ...]]) -> dict:
 
 
 @functools.lru_cache(maxsize=16)
-def _weight_power(weights: tuple[Fraction, ...], n: int) -> tuple[tuple[int, ...], tuple]:
-    """The atomic lengths m with [x^m]P(x)^n != 0, and those coefficients.
+def _weight_power(weights: tuple, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The atomic lengths m with [x^m]P(x)^n != 0, and those coefficients, for integer weights.
 
     Writes P(x) = x^a Q(x) with Q(0) != 0 and expands Q(x)^n by Miller's
-    recurrence i q_0 c_i = sum_j ((n + 1) j - i) q_j c_(i-j).
+    recurrence i q_0 c_i = sum_j ((n + 1) j - i) q_j c_(i-j), in ints.
     """
     a = next(m for m, w in enumerate(weights) if w)
-    q = weights[a:]
-    if all(w.denominator == 1 for w in q):
-        # every coefficient of an integer polynomial's power is an integer
-        q, divide = [int(w) for w in q], operator.floordiv
-    else:
-        divide = operator.truediv
+    q = [int(w) for w in weights[a:]]
     e = len(q) - 1
     coeffs = [q[0] ** n]
     for i in range(1, n * e + 1):
         acc = sum(((n + 1) * j - i) * q[j] * coeffs[i - j] for j in range(1, min(i, e) + 1))
-        coeffs.append(divide(acc, i * q[0]))
+        coeffs.append(acc // (i * q[0]))
     support = [(n * a + i, c) for i, c in enumerate(coeffs) if c]
     return tuple(m for m, _ in support), tuple(c for _, c in support)
 
@@ -167,29 +163,51 @@ def _binomial_row(lengths: Sequence[int], d: int) -> tuple[int, ...]:
                  for m in lengths)
 
 
-def _check_length(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"walk length n must be >= 0, got {n}")
+def _terms(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: int) -> Callable:
+    """The unconstrained count from each signed permutation's image of u to v."""
+    if spec.kind is AtomicKind.AXIS:
+        table = _displacement_table(spec, n)
+        return lambda image: table.get(tuple(b - e * u[i] for b, (i, e) in zip(v, image)), 0)
+    lengths, coeffs = _weight_power(spec.weights, n)
+    # rows[j][(i, eps)] holds [z^(v_j - eps*u_i)](z + 1/z)^m over the lengths m
+    rows = [{(i, eps): _binomial_row(lengths, vj - eps * ui)
+             for i, ui in enumerate(u) for eps in (1, -1)} for vj in v]
+    return lambda image: sum(map(math.prod, zip(coeffs, *map(dict.__getitem__, rows, image))))
+
+
+def _exact_count(route: Callable) -> Callable:
+    """The entry to a route: checks n >= 0, counts with the weights D*w_m, divides by D^n."""
+    # D, the lcm of the weight denominators, makes them ints; every count is homogeneous of
+    # degree n in the weights
+    signature = inspect.signature(route)
+
+    @functools.wraps(route)
+    def count(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        spec, n = call.arguments["spec"], call.arguments["n"]
+        if n < 0:
+            raise ValueError(f"walk length n must be >= 0, got {n}")
+        d = math.lcm(*(w.denominator for w in spec.weights))
+        call.arguments["spec"] = CompositeSpec(spec.kind, spec.k, [d * w for w in spec.weights])
+        total = route(*call.args, **call.kwargs)
+        return total if d == 1 else Fraction(total, d ** n)
+    return count
 
 
 # ---------------------------------------------------------------------------
 # counting
 
 
+@_exact_count
 def count_unconstrained(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int):
-    """Coefficient of z^(v-u) in S(z)^n."""
+    """Coefficient of z^(v-u) in S(z)^n: the identity term of the signed sum."""
     u, v = tuple(u), tuple(v)
     for p in (u, v):
         if not lattice_contains(spec, p):
             raise ValueError(f"{p} is not on the walk lattice")
-    _check_length(n)
-    delta = tuple(b - a for a, b in zip(u, v))
-    if spec.kind is AtomicKind.AXIS:
-        return _displacement_table(spec, n).get(delta, 0)
-    _check_work("diagonal kernel work", *_term_size(spec, n))
-    lengths, coeffs = _weight_power(spec.weights, n)
-    rows = [_binomial_row(lengths, d) for d in delta]
-    return sum(map(math.prod, zip(coeffs, *rows)))
+    if spec.kind is AtomicKind.DIAGONAL:  # the axis table charges its own work
+        _check_work("diagonal kernel work", *_term_size(spec, n))
+    return _terms(spec, u, v, n)(tuple((j, 1) for j in range(spec.k)))
 
 
 def signed_permutations(k: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -206,35 +224,15 @@ def signed_permutations(k: int) -> Iterator[tuple[tuple[int, ...], int]]:
         yield from zip(images, [sgn * s for s in eps_signs])
 
 
+@_exact_count
 def count_reflection(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int):
-    """Signed sum over signed permutations of unconstrained counts.
-
-    Both kinds take [x^m]P(x)^n from ``_weight_power``.  The diagonal kind
-    multiplies per-call rows of the 2k^2 one-dimensional displacements
-    v_j - eps*u_i; the axis kind reads one displacement table.
-    """
+    """Signed sum over signed permutations of the unconstrained counts of ``_terms``."""
     u = check_chamber_point(spec, u)
     v = check_chamber_point(spec, v)
-    _check_length(n)
     ops, integers, bits = _term_size(spec, n)
     _check_work("signed sum work", math.factorial(spec.k) * 2 ** spec.k * ops, integers, bits)
-    if spec.kind is AtomicKind.AXIS:
-        table = _displacement_table(spec, n)
-
-        def term(image):
-            return table.get(tuple(b - eps * u[src] for b, (src, eps) in zip(v, image)), 0)
-    else:
-        lengths, coeffs = _weight_power(spec.weights, n)
-        # rows[j][(i, eps)] holds [z^(v_j - eps*u_i)](z + 1/z)^m over the lengths m
-        rows = [{(i, eps): _binomial_row(lengths, vj - eps * ui)
-                 for i, ui in enumerate(u) for eps in (1, -1)} for vj in v]
-
-        def term(image):
-            return sum(map(math.prod, zip(coeffs, *map(dict.__getitem__, rows, image))))
-    total = 0
-    for image, sign in signed_permutations(spec.k):
-        total += sign * term(image)
-    return total
+    term = _terms(spec, u, v, n)
+    return sum(sign * term(image) for image, sign in signed_permutations(spec.k))
 
 
 def _term_size(spec: CompositeSpec, n: int) -> tuple[int, int, int]:
@@ -244,18 +242,17 @@ def _term_size(spec: CompositeSpec, n: int) -> tuple[int, int, int]:
     the L atomic lengths of P(x)^n, from L coefficients and 2k^2 binomial
     rows.  Weights are >= 0, so the lengths are the n-fold sums of the
     weighted lengths: they lie in n*a + g*N up to n*degree, with a the least
-    weighted length and g the gcd of the differences.  With D the lcm of the
-    weight denominators, D^n [x^m]P(x)^n <= (D*P(1))^n and
-    C(m, j) <= 2^(n*degree), so a coefficient times k binomials has at most
-    n*log2(D*P(1)) + k*n*degree bits.  None of this expands P(x)^n.
+    weighted length and g the gcd of the differences.  The weights are the
+    integers ``_exact_count`` passes, so [x^m]P(x)^n <= P(1)^n and
+    C(m, j) <= 2^(n*degree): a coefficient times k binomials has at most
+    n*log2(P(1)) + k*n*degree bits.  None of this expands P(x)^n.
     """
     if spec.kind is AtomicKind.AXIS:
         return 1, 0, 0
     weighted = [m for m, w in enumerate(spec.weights) if w]
     g = math.gcd(*(m - weighted[0] for m in weighted))
     lengths = n * (spec.degree - weighted[0]) // g + 1 if g else 1
-    d = math.lcm(*(w.denominator for w in spec.weights))
-    bits = math.ceil(n * math.log2(d * sum(spec.weights)) + spec.k * n * spec.degree)
+    bits = math.ceil(n * math.log2(sum(spec.weights)) + spec.k * n * spec.degree)
     return lengths, (2 * spec.k ** 2 + 1) * lengths, bits
 
 
@@ -270,11 +267,11 @@ def _confined_frontier(spec: CompositeSpec, u: Sequence[int], n: int) -> dict:
     length m, cut into n groups that weigh [x^m]P(x)^n in all.
     """
     u = check_chamber_point(spec, u)
-    _check_length(n)
     _check_work("confined DP updates", _layer_work(spec, n, u))
     return _weighted_layers(spec, n, u, _confined_step)
 
 
+@_exact_count
 def count_confined(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int):
     """Dynamic-programming oracle for confined walk counts.
 
@@ -283,15 +280,16 @@ def count_confined(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: i
     """
     u = check_chamber_point(spec, u)
     v = check_chamber_point(spec, v)
-    _check_length(n)
     return _confined_frontier(spec, u, n).get(v, 0) if spec.parity_allows(u, v, n) else 0
 
 
+@_exact_count
 def count_confined_free(spec: CompositeSpec, u: Sequence[int], n: int):
     """Total confined count over all endpoints: the DP frontier mass after n steps."""
     return sum(_confined_frontier(spec, u, n).values())
 
 
+@_exact_count
 def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
     """Free-endpoint total: de Bruijn's Pfaffian of the reflected one-dimensional counts.
 
@@ -304,7 +302,6 @@ def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
     down once from max(u) + max m, above which f vanishes, keeping sum_(y>x) f_j(y).
     """
     u = check_chamber_point(spec, u)
-    _check_length(n)
     if spec.k == 1:  # both step kinds move the one coordinate by 1
         spec = CompositeSpec(AtomicKind.DIAGONAL, 1, spec.weights)
     k, top, axis = spec.k, n * spec.degree, spec.kind is AtomicKind.AXIS

@@ -184,6 +184,12 @@ class TestPreset:
         assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
         assert "walk length n must be >= 0" in res.output
 
+    def test_negative_length_quotes_the_typed_n(self):
+        """--n is checked before it is scaled into atomic steps (2n for watermelon)."""
+        res = run("preset", "watermelon", "--k", "1", "--n", "-1")
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert "walk length n must be >= 0, got -1" in res.output
+
     def test_unknown_preset_exit_2(self):
         res = run("preset", "pineapple", "--k", "2", "--n", "10")
         assert res.exit_code == 2

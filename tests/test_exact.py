@@ -256,6 +256,36 @@ def test_dp_matches_composite_step_dp(kind, weights, k, n, data):
     assert exact.count_confined_free(spec, u, n) == sum(frontier.values())
 
 
+@pytest.mark.parametrize("weights", ["1/2,1/3", "2/3,0,1/5"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("kind", [AtomicKind.AXIS, AtomicKind.DIAGONAL])
+def test_rational_weights_count_in_ints(kind, k, weights):
+    """Every route expands only integer weights and still equals the Fraction oracles."""
+    spec = _spec(kind, k, weights)
+    u = (1, 3)[:k] if kind is AtomicKind.DIAGONAL else (1, 2)[:k]
+    expanded = []
+
+    def checking(ws, n):
+        lengths, coeffs = weight_power(ws, n)
+        expanded.append(n)
+        assert all(type(c) is int for c in coeffs), coeffs
+        return lengths, coeffs
+
+    weight_power = exact._weight_power
+    with mock.patch.object(exact, "_weight_power", checking):
+        for n in range(7):
+            frontier = _composite_dp(spec, u, n)
+            assert exact.count_confined_free(spec, u, n) == sum(frontier.values())
+            assert exact.count_reflection_free(spec, u, n) == sum(frontier.values())
+            for v in {u, max(frontier, key=frontier.get)}:
+                assert exact.count_confined(spec, u, v, n) == frontier.get(v, 0)
+                assert exact.count_reflection(spec, u, v, n) == frontier.get(v, 0)
+                delta = tuple(b - a for a, b in zip(u, v))
+                assert exact.count_unconstrained(spec, u, v, n) \
+                    == _composite_convolution(spec, n).get(delta, 0)
+    assert expanded
+
+
 def test_deep_axis_reflection():
     """The axis table takes no recursion per step: n above the default recursion limit."""
     n = 1100
@@ -452,6 +482,12 @@ def test_reflection_budget_guard(what, count):
     assert str(err.value) == f"{what}: estimate {err.value.estimate} exceeds budget of 10000000"
 
 
+def _integer_spec(spec):
+    """The spec with weights D*w_m, D the lcm of their denominators: what every route runs on."""
+    d = math.lcm(*(w.denominator for w in spec.weights))
+    return CompositeSpec(spec.kind, spec.k, [d * w for w in spec.weights])
+
+
 def _estimate(count):
     """The work a route charges before it runs, read from its refusal under a budget of -1."""
     with mock.patch.object(exact, "DEFAULT_STATE_BUDGET", -1), \
@@ -466,8 +502,9 @@ def _estimate(count):
        n=st.integers(0, 12))
 def test_signed_sum_cost_bounds_the_lengths_without_expanding(weights, n):
     spec = CompositeSpec(AtomicKind.DIAGONAL, 2, weights)
-    lengths = len(exact._weight_power(spec.weights, n)[0])
-    bound, integers, bits = exact._term_size(spec, n)
+    ints = _integer_spec(spec)
+    lengths = len(exact._weight_power(ints.weights, n)[0])
+    bound, integers, bits = exact._term_size(ints, n)
     assert bound >= lengths and integers == 9 * bound
     # 8 signed-sum terms, each over every length, plus the kernel's words
     work = 8 * bound + integers * (bits // 64 + 1)
@@ -513,7 +550,7 @@ def test_layer_work_bounds_the_updates(kind, weights, k, n, data):
     convolve = exact._convolve
     for route, estimate in [(lambda: exact.count_confined_free(spec, u, n),
                              exact._layer_work(spec, n, u)),
-                            (lambda: exact._displacement_table.__wrapped__(spec, n),
+                            (lambda: exact._displacement_table.__wrapped__(_integer_spec(spec), n),
                              exact._layer_work(spec, n))]:
         assert _estimate(route) == estimate
         counted.clear()
@@ -550,7 +587,7 @@ def test_free_work_bounds_the_products(kind, weights, k, n, data):
     u = _chamber_point(data, kind, k)
     top = n * spec.degree
     grid = range(top + 1) if kind is AtomicKind.AXIS and k > 1 \
-        else exact._weight_power(spec.weights, n)[0]
+        else exact._weight_power(_integer_spec(spec).weights, n)[0]
     counted = [sum((max(u) + m) * k + m + 1 for m in grid)]
 
     def counting(binomials, a, b):
