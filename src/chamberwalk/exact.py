@@ -10,9 +10,9 @@ Three independent exact routes are provided:
 
 Every count uses S = P(A): sum_m [x^m]P(x)^n times the count of atomic
 walks of length m, with [x^m]P(x)^n from one expansion.  For the diagonal
-kind [z^d]A^m = prod_j C(m, (m + d_j)/2) is a closed form; the axis table
+kind [z^d]A^m = prod_j C(m, (m + d_j)/2) is a closed form; the axis kernel
 and the confined DP (which keeps only chamber points) walk the atomic
-layers once by sparse convolution and add each one weighted.  The free-endpoint
+layers once by sparse convolution and read only what they need.  The free-endpoint
 sum by reflection is one Pfaffian of one-dimensional counts, over no end point.
 
 Every route estimates its work before it runs and raises
@@ -33,7 +33,7 @@ import math
 import operator
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from chamberwalk.stepmodel import (
     AtomicKind,
@@ -89,7 +89,6 @@ def _convolve(dist: dict, steps: Sequence[tuple[int, ...]]) -> dict:
     return out
 
 
-@functools.lru_cache(maxsize=16)
 def _weight_power(weights: tuple, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The atomic lengths m with [x^m]P(x)^n != 0, and those coefficients, for integer weights.
 
@@ -108,24 +107,22 @@ def _weight_power(weights: tuple, n: int) -> tuple[tuple[int, ...], tuple[int, .
 
 
 def _weighted_layers(spec: CompositeSpec, n: int, start: tuple[int, ...],
-                     step: Callable[[dict, Sequence[tuple[int, ...]]], dict]) -> dict:
-    """sum_m [x^m]P(x)^n * layer_m, as a dict from point to mass.
+                     step: Callable[[dict, Sequence[tuple[int, ...]]], dict],
+                     read: Callable[[dict], list]) -> list:
+    """sum_m [x^m]P(x)^n * read(layer_m), entry by entry.
 
     layer_0 is {start: 1} and layer_(m+1) = step(layer_m, atomic steps).
-    The layers hold plain ints; each weighted length adds its layer once,
-    scaled by its coefficient of P(x)^n.
+    The layers hold plain ints; only the values ``read`` takes from a
+    weighted length's layer are scaled by its coefficient of P(x)^n.
     """
     lengths, coeffs = _weight_power(spec.weights, n)
     steps = atomic_displacements(spec)
-    layer = {start: 1}
-    total: dict = {}
-    m = 0
+    layer, m, total = {start: 1}, 0, []
     for length, c in zip(lengths, coeffs):
         while m < length:
             layer = step(layer, steps)
             m += 1
-        for point, mass in layer.items():
-            total[point] = total.get(point, 0) + c * mass
+        total = [t + c * x for t, x in itertools.zip_longest(total, read(layer), fillvalue=0)]
     return total
 
 
@@ -150,29 +147,33 @@ def _layer_work(spec: CompositeSpec, n: int, start: Sequence[int] | None = None)
     return (2 * k if axis else 2 ** k) * work
 
 
-@functools.lru_cache(maxsize=16)
-def _displacement_table(spec: CompositeSpec, n: int) -> dict:
-    """[z^d]S^n for every displacement d: sum_m [x^m]P(x)^n * [z^d]A^m."""
-    _check_work("displacement table updates", _layer_work(spec, n))
-    return _weighted_layers(spec, n, (0,) * spec.k, _convolve)
-
-
 def _binomial_row(lengths: Sequence[int], d: int) -> tuple[int, ...]:
     """[z^d](z + 1/z)^m for each m in ``lengths``."""
     return tuple(math.comb(m, (m + d) // 2) if abs(d) <= m and (m + d) % 2 == 0 else 0
                  for m in lengths)
 
 
-def _terms(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: int) -> Callable:
-    """The unconstrained count from each signed permutation's image of u to v."""
+def _signed_sum(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: int,
+                signed: Iterable[tuple[tuple, int]]) -> int:
+    """sum of sign * [z^(v - image(u))]S^n over the (image map, sign) pairs of ``signed``."""
+    # shifts[j][(i, eps)] = v_j - eps*u_i: coordinate j of v - image(u)
+    shifts = [{(i, eps): vj - eps * ui for i, ui in enumerate(u) for eps in (1, -1)} for vj in v]
     if spec.kind is AtomicKind.AXIS:
-        table = _displacement_table(spec, n)
-        return lambda image: table.get(tuple(b - e * u[i] for b, (i, e) in zip(v, image)), 0)
+        _check_work("displacement table updates", _layer_work(spec, n))
+        # an atomic walk of m <= n*degree steps moves at most m in l1: no other target is read
+        targets, reach = {}, n * spec.degree
+        for image, sign in signed:
+            d = tuple(map(dict.__getitem__, shifts, image))
+            if sum(map(abs, d)) <= reach:
+                targets[d] = targets.get(d, 0) + sign
+        values = _weighted_layers(spec, n, (0,) * spec.k, _convolve,
+                                  lambda layer: [layer.get(d, 0) for d in targets])
+        return sum(map(operator.mul, targets.values(), values))
     lengths, coeffs = _weight_power(spec.weights, n)
     # rows[j][(i, eps)] holds [z^(v_j - eps*u_i)](z + 1/z)^m over the lengths m
-    rows = [{(i, eps): _binomial_row(lengths, vj - eps * ui)
-             for i, ui in enumerate(u) for eps in (1, -1)} for vj in v]
-    return lambda image: sum(map(math.prod, zip(coeffs, *map(dict.__getitem__, rows, image))))
+    rows = [{key: _binomial_row(lengths, d) for key, d in row.items()} for row in shifts]
+    return sum(sign * sum(map(math.prod, zip(coeffs, *map(dict.__getitem__, rows, image))))
+               for image, sign in signed)
 
 
 def _exact_count(route: Callable) -> Callable:
@@ -205,9 +206,9 @@ def count_unconstrained(spec: CompositeSpec, u: Sequence[int], v: Sequence[int],
     for p in (u, v):
         if not lattice_contains(spec, p):
             raise ValueError(f"{p} is not on the walk lattice")
-    if spec.kind is AtomicKind.DIAGONAL:  # the axis table charges its own work
+    if spec.kind is AtomicKind.DIAGONAL:  # the axis layer walk charges its own work
         _check_work("diagonal kernel work", *_term_size(spec, n))
-    return _terms(spec, u, v, n)(tuple((j, 1) for j in range(spec.k)))
+    return _signed_sum(spec, u, v, n, [(tuple((j, 1) for j in range(spec.k)), 1)])
 
 
 def signed_permutations(k: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -226,19 +227,18 @@ def signed_permutations(k: int) -> Iterator[tuple[tuple[int, ...], int]]:
 
 @_exact_count
 def count_reflection(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int):
-    """Signed sum over signed permutations of the unconstrained counts of ``_terms``."""
+    """Signed sum over signed permutations of the unconstrained counts of ``_signed_sum``."""
     u = check_chamber_point(spec, u)
     v = check_chamber_point(spec, v)
     ops, integers, bits = _term_size(spec, n)
     _check_work("signed sum work", math.factorial(spec.k) * 2 ** spec.k * ops, integers, bits)
-    term = _terms(spec, u, v, n)
-    return sum(sign * term(image) for image, sign in signed_permutations(spec.k))
+    return _signed_sum(spec, u, v, n, signed_permutations(spec.k))
 
 
 def _term_size(spec: CompositeSpec, n: int) -> tuple[int, int, int]:
     """Operations of one kernel term, and the integers the kernel holds with their bits.
 
-    An axis term is one table lookup.  A diagonal term sums a product over
+    An axis term is one value per layer.  A diagonal term sums a product over
     the L atomic lengths of P(x)^n, from L coefficients and 2k^2 binomial
     rows.  Weights are >= 0, so the lengths are the n-fold sums of the
     weighted lengths: they lie in n*a + g*N up to n*degree, with a the least
@@ -260,15 +260,13 @@ def _confined_step(layer: dict, steps: Sequence[tuple[int, ...]]) -> dict:
     return {point: mass for point, mass in _convolve(layer, steps).items() if in_chamber(point)}
 
 
-def _confined_frontier(spec: CompositeSpec, u: Sequence[int], n: int) -> dict:
-    """Confined counts of n composite steps from u, by end point.
+def _confined_dp(spec: CompositeSpec, u: tuple[int, ...], n: int, read: Callable) -> int:
+    """sum_m [x^m]P(x)^n * read(layer_m), layer_m the confined atomic walks of length m from u.
 
-    Confinement is atomic-strict: these are the confined atomic walks of each
-    length m, cut into n groups that weigh [x^m]P(x)^n in all.
+    Confinement is atomic-strict; cut into n composite steps, those walks weigh [x^m]P(x)^n.
     """
-    u = check_chamber_point(spec, u)
     _check_work("confined DP updates", _layer_work(spec, n, u))
-    return _weighted_layers(spec, n, u, _confined_step)
+    return _weighted_layers(spec, n, u, _confined_step, lambda layer: [read(layer)])[0]
 
 
 @_exact_count
@@ -280,13 +278,14 @@ def count_confined(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: i
     """
     u = check_chamber_point(spec, u)
     v = check_chamber_point(spec, v)
-    return _confined_frontier(spec, u, n).get(v, 0) if spec.parity_allows(u, v, n) else 0
+    return _confined_dp(spec, u, n, lambda layer: layer.get(v, 0)) \
+        if spec.parity_allows(u, v, n) else 0
 
 
 @_exact_count
 def count_confined_free(spec: CompositeSpec, u: Sequence[int], n: int):
     """Total confined count over all endpoints: the DP frontier mass after n steps."""
-    return sum(_confined_frontier(spec, u, n).values())
+    return _confined_dp(spec, check_chamber_point(spec, u), n, lambda layer: sum(layer.values()))
 
 
 @_exact_count

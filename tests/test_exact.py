@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -286,8 +287,60 @@ def test_rational_weights_count_in_ints(kind, k, weights):
     assert expanded
 
 
+@pytest.mark.parametrize("v", [None, (30, 40)], ids=["likeliest-end", "out-of-reach"])
+def test_layers_weigh_only_the_values_read(v):
+    """Each weighted length multiplies its coefficient into the values a count reads, no more.
+
+    The DP and the unconstrained count read one value per layer; the axis
+    signed sum at k=2 reads at most its 8 targets, and none out of reach.
+    """
+    spec = _spec(AtomicKind.AXIS, 2, "1/1000003,1,1")
+    u, n = (1, 2), 12
+    frontier = _composite_dp(spec, u, n)
+    v = v or max(frontier, key=frontier.get)
+    delta = tuple(b - a for a, b in zip(u, v))
+    products = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            products.append(other)
+            return int(self) * other
+        __rmul__ = __mul__
+
+    def counting(ws, n):
+        lengths, coeffs = weight_power(ws, n)
+        return lengths, tuple(map(Counted, coeffs))
+
+    weight_power = exact._weight_power
+    lengths = len(weight_power(_integer_spec(spec).weights, n)[0])
+    with mock.patch.object(exact, "_weight_power", counting):
+        for count, expected, reads in [
+                (lambda: exact.count_confined(spec, u, v, n), frontier.get(v, 0), 1),
+                (lambda: exact.count_confined_free(spec, u, n), sum(frontier.values()), 1),
+                (lambda: exact.count_unconstrained(spec, u, v, n),
+                 _composite_convolution(spec, n).get(delta, 0), 1),
+                (lambda: exact.count_reflection(spec, u, v, n), frontier.get(v, 0), 8)]:
+            products.clear()
+            assert count() == expected
+            assert len(products) <= reads * lengths
+
+
+def test_axis_signed_sum_holds_only_its_targets():
+    """The axis signed sum keeps the reachable targets, not the k!*2^k images of u."""
+    spec = CompositeSpec(AtomicKind.AXIS, 6, [0, 1])
+    point = tuple(range(1, 7))
+    tracemalloc.start()
+    try:
+        count = exact.count_reflection(spec, point, point, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == exact.count_confined(spec, point, point, 2)
+    assert peak < 2 * 2 ** 20
+
+
 def test_deep_axis_reflection():
-    """The axis table takes no recursion per step: n above the default recursion limit."""
+    """The axis layer walk takes no recursion per step: n above the default recursion limit."""
     n = 1100
     catalan = math.comb(n, n // 2) // (n // 2 + 1)
     assert exact.count_reflection(RT_1, (1,), (1,), n) \
@@ -362,12 +415,15 @@ def test_endpoint_filter(kind, k, weights, u):
     """Every chamber point the parity rule rejects has DP count 0, and the DP says so at once."""
     spec = _spec(kind, k, weights)
     for n in range(6):
-        frontier = exact._confined_frontier(spec, u, n)
+        points = [v for v in itertools.combinations(range(1, max(u) + n * spec.degree + 2), k)
+                  if lattice_contains(spec, v)]
+        frontier = dict(zip(points, exact._weighted_layers(
+            spec, n, u, exact._confined_step, lambda layer: [layer.get(v, 0) for v in points])))
         rejected = []
-        for v in itertools.combinations(range(1, max(u) + n * spec.degree + 2), k):
-            if lattice_contains(spec, v) and not spec.parity_allows(u, v, n):
-                assert frontier.get(v, 0) == 0
-                with mock.patch.object(exact, "_confined_frontier", side_effect=AssertionError):
+        for v in points:
+            if not spec.parity_allows(u, v, n):
+                assert frontier[v] == 0
+                with mock.patch.object(exact, "_confined_dp", side_effect=AssertionError):
                     assert exact.count_confined(spec, u, v, n) == 0
                 rejected.append(v)
         if n and spec.parity is not None:
@@ -538,7 +594,7 @@ LAYER_WORK_SLACK = 32
        weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 3), n=st.integers(0, 10),
        data=st.data())
 def test_layer_work_bounds_the_updates(kind, weights, k, n, data):
-    """counted <= estimate <= C*(counted + 1) for the table and the DP, which charge it."""
+    """counted <= estimate <= C*(counted + 1) for the axis kernel and the DP, which charge it."""
     spec = _spec(kind, k, weights)
     u = _chamber_point(data, kind, k)
     counted = []
@@ -548,10 +604,11 @@ def test_layer_work_bounds_the_updates(kind, weights, k, n, data):
         return convolve(dist, steps)
 
     convolve = exact._convolve
-    for route, estimate in [(lambda: exact.count_confined_free(spec, u, n),
-                             exact._layer_work(spec, n, u)),
-                            (lambda: exact._displacement_table.__wrapped__(_integer_spec(spec), n),
-                             exact._layer_work(spec, n))]:
+    routes = [(lambda: exact.count_confined_free(spec, u, n), exact._layer_work(spec, n, u))]
+    if kind is AtomicKind.AXIS:
+        routes.append((lambda: exact.count_unconstrained(spec, u, u, n),
+                       exact._layer_work(spec, n)))
+    for route, estimate in routes:
         assert _estimate(route) == estimate
         counted.clear()
         with mock.patch.object(exact, "_convolve", counting):
