@@ -10,10 +10,10 @@ Three independent exact routes are provided:
 
 Every count uses S = P(A): sum_m [x^m]P(x)^n times the count of atomic
 walks of length m, with [x^m]P(x)^n from one expansion.  For the diagonal
-kind [z^d]A^m = prod_j C(m, (m + d_j)/2) is a closed form; the axis kernel
-and the confined DP (which keeps only chamber points) walk the atomic
-layers once by sparse convolution and read only what they need.  The free-endpoint
-sum by reflection is one Pfaffian of one-dimensional counts, over no end point.
+kind [z^d]A^m = prod_j C(m, (m + d_j)/2) is a closed form; the axis kernel and the
+confined DP (which keeps only chamber points) walk the atomic layers once, each point
+packed into one int so that a step adds one int offset, and read only what they need.
+The free-endpoint sum by reflection is one Pfaffian of one-dimensional counts, over no end point.
 
 Every route estimates its work before it runs and raises
 ``ResourceBudgetError`` over ``DEFAULT_STATE_BUDGET`` (``_check_work``).
@@ -39,7 +39,6 @@ from chamberwalk.stepmodel import (
     AtomicKind,
     CompositeSpec,
     check_chamber_point,
-    in_chamber,
     lattice_contains,
 )
 
@@ -77,15 +76,11 @@ def atomic_displacements(spec: CompositeSpec) -> list[tuple[int, ...]]:
     return list(itertools.product((1, -1), repeat=spec.k))
 
 
-def _convolve(dist: dict, steps: Sequence[tuple[int, ...]]) -> dict:
+def _convolve(layer: dict, offsets: Sequence[int]) -> dict:
     out: dict = {}
-    for point, mass in dist.items():
-        for step in steps:
-            key = tuple(p + s for p, s in zip(point, step))
-            if key in out:
-                out[key] += mass
-            else:
-                out[key] = mass
+    for key, mass in layer.items():
+        for offset in offsets:
+            out[t] = out.get(t := key + offset, 0) + mass
     return out
 
 
@@ -106,23 +101,43 @@ def _weight_power(weights: tuple, n: int) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(m for m, _ in support), tuple(c for _, c in support)
 
 
-def _weighted_layers(spec: CompositeSpec, n: int, start: tuple[int, ...],
-                     step: Callable[[dict, Sequence[tuple[int, ...]]], dict],
-                     read: Callable[[dict], list]) -> list:
-    """sum_m [x^m]P(x)^n * read(layer_m), entry by entry.
+def _weighted_layers(spec: CompositeSpec, n: int, start: tuple[int, ...], confined: bool,
+                     points: Sequence[tuple[int, ...]] | None = None) -> list:
+    """sum_m [x^m]P(x)^n * layer_m at each of ``points``, or of the layer totals without them.
 
-    layer_0 is {start: 1} and layer_(m+1) = step(layer_m, atomic steps).
-    The layers hold plain ints; only the values ``read`` takes from a
-    weighted length's layer are scaled by its coefficient of P(x)^n.
+    layer_0 is {start: 1} and layer_(m+1) the atomic steps from layer_m, inside the chamber if
+    ``confined``.  A point x is the int sum_i (x_i + N) << (w*i), N = n*degree, with every
+    coordinate within N steps of ``start`` a digit in [0, 2^w): a step adds one int and no
+    digit carries; a point outside that box reads 0.  Only the values read are weighted.
     """
     lengths, coeffs = _weight_power(spec.weights, n)
-    steps = atomic_displacements(spec)
-    layer, m, total = {start: 1}, 0, []
+    top = n * spec.degree
+    width = (max(start) + 2 * top + 1).bit_length()
+    shifts, mask = range(0, width * spec.k, width), (1 << width) - 1
+
+    def pack(point, base=top):
+        return sum((x + base) << s for x, s in zip(point, shifts))
+
+    def inside(key):  # top < x_1 + N < ... < x_k + N
+        low = top
+        for s in shifts:
+            if (digit := key >> s & mask) <= low:
+                return False
+            low = digit
+        return True
+
+    offsets = [pack(d, 0) for d in atomic_displacements(spec)]
+    keys = [pack(p) if all(abs(x - y) <= top for x, y in zip(p, start)) else None
+            for p in points] if points is not None else None
+    layer, m, total = {pack(start): 1}, 0, [0] * (1 if keys is None else len(keys))
     for length, c in zip(lengths, coeffs):
         while m < length:
-            layer = step(layer, steps)
+            layer = _convolve(layer, offsets)
+            if confined:
+                layer = {key: mass for key, mass in layer.items() if inside(key)}
             m += 1
-        total = [t + c * x for t, x in itertools.zip_longest(total, read(layer), fillvalue=0)]
+        read = [sum(layer.values())] if keys is None else [layer.get(key, 0) for key in keys]
+        total = [t + c * x for t, x in zip(total, read)]
     return total
 
 
@@ -159,15 +174,18 @@ def _signed_sum(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: 
     # shifts[j][(i, eps)] = v_j - eps*u_i: coordinate j of v - image(u)
     shifts = [{(i, eps): vj - eps * ui for i, ui in enumerate(u) for eps in (1, -1)} for vj in v]
     if spec.kind is AtomicKind.AXIS:
-        _check_work("displacement table updates", _layer_work(spec, n))
-        # an atomic walk of m <= n*degree steps moves at most m in l1: no other target is read
+        # an atomic walk of m <= n*degree steps moves at most m in l1: no other target is read;
+        # v - u is the nearest target (u, v sorted) or the only one: a far v is 0 before pricing
         targets, reach = {}, n * spec.degree
+        if sum(map(abs, map(operator.sub, v, u))) <= reach:
+            _check_work("displacement table updates", _layer_work(spec, n))
         for image, sign in signed:
             d = tuple(map(dict.__getitem__, shifts, image))
             if sum(map(abs, d)) <= reach:
                 targets[d] = targets.get(d, 0) + sign
-        values = _weighted_layers(spec, n, (0,) * spec.k, _convolve,
-                                  lambda layer: [layer.get(d, 0) for d in targets])
+        if not targets:
+            return 0
+        values = _weighted_layers(spec, n, (0,) * spec.k, False, list(targets))
         return sum(map(operator.mul, targets.values(), values))
     lengths, coeffs = _weight_power(spec.weights, n)
     # rows[j][(i, eps)] holds [z^(v_j - eps*u_i)](z + 1/z)^m over the lengths m
@@ -256,17 +274,13 @@ def _term_size(spec: CompositeSpec, n: int) -> tuple[int, int, int]:
     return lengths, (2 * spec.k ** 2 + 1) * lengths, bits
 
 
-def _confined_step(layer: dict, steps: Sequence[tuple[int, ...]]) -> dict:
-    return {point: mass for point, mass in _convolve(layer, steps).items() if in_chamber(point)}
+def _confined_dp(spec: CompositeSpec, u: tuple[int, ...], n: int, points=None) -> int:
+    """``_weighted_layers`` in the chamber from u, at the one point of ``points`` or in total.
 
-
-def _confined_dp(spec: CompositeSpec, u: tuple[int, ...], n: int, read: Callable) -> int:
-    """sum_m [x^m]P(x)^n * read(layer_m), layer_m the confined atomic walks of length m from u.
-
-    Confinement is atomic-strict; cut into n composite steps, those walks weigh [x^m]P(x)^n.
+    Confinement is atomic-strict; cut into n composite steps, m atomic steps weigh [x^m]P(x)^n.
     """
     _check_work("confined DP updates", _layer_work(spec, n, u))
-    return _weighted_layers(spec, n, u, _confined_step, lambda layer: [read(layer)])[0]
+    return _weighted_layers(spec, n, u, True, points)[0]
 
 
 @_exact_count
@@ -278,14 +292,15 @@ def count_confined(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: i
     """
     u = check_chamber_point(spec, u)
     v = check_chamber_point(spec, v)
-    return _confined_dp(spec, u, n, lambda layer: layer.get(v, 0)) \
-        if spec.parity_allows(u, v, n) else 0
+    far = (sum if spec.kind is AtomicKind.AXIS else max)(map(abs, map(operator.sub, v, u)))
+    return _confined_dp(spec, u, n, [v]) \
+        if far <= n * spec.degree and spec.parity_allows(u, v, n) else 0
 
 
 @_exact_count
 def count_confined_free(spec: CompositeSpec, u: Sequence[int], n: int):
     """Total confined count over all endpoints: the DP frontier mass after n steps."""
-    return _confined_dp(spec, check_chamber_point(spec, u), n, lambda layer: sum(layer.values()))
+    return _confined_dp(spec, check_chamber_point(spec, u), n)
 
 
 @_exact_count

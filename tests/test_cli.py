@@ -87,6 +87,14 @@ class TestCount:
         count = json.loads(res.output)["count"]
         assert len(count) == 4811 and Decimal(count) == math.comb(16000, 8000) // 8001
 
+    @pytest.mark.parametrize("method", ["dp", "reflection", "both"])
+    def test_out_of_reach_end_point_is_zero(self, method):
+        """An end point no walk of n steps reaches is 0 at once, not a budget refusal."""
+        res = run("count", "--kind", "axis", "--k", "3", "--weights", "1,1,1", "--u", "1,2,3",
+                  "--v", "500,600,700", "--n", "400", "--method", method)
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["count"] == "0"
+
     def test_resource_error_exit_3(self):
         res = run("count", "--kind", "axis", "--k", "3", "--weights", "0,1",
                   "--u", "1,2,3", "--v", "1,2,3", "--n", "1000000")

@@ -1,0 +1,66 @@
+"""Golden CLI output: stdout, stderr and exit code of fixed commands, pinned by SHA-256.
+
+The commands are bench operations at seed 1 (reflection, free-endpoint and DP
+counts), three counts at the edge of the work budget (two refused just over
+it, one answered just under it), a preset, a compare grid and a budget
+refusal.  A digest that moves means the CLI prints something else for the
+same flags.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import chamberwalk
+
+SRC_DIR = Path(chamberwalk.__file__).parent.parent
+
+# command -> sha256 of json.dumps([exit code, stdout, stderr])
+GOLDEN = [
+    ("count --kind axis --k 2 --weights 1,1,1 --u 2,4 --v 3,4 --n 26 --method reflection",
+     "5e513200757e2ccabbd79ca94fa09d7bebdb83545a99fb51e7e1c8a491ef9ff0"),
+    ("count --kind axis --k 2 --weights 1/2,1/3 --u 1,4 --v 1,4 --n 26 --method reflection",
+     "a7ed191c9a2e18d89effdb08f21668c1f2649130c5e6929235c35254c7d768f5"),
+    ("count --kind diagonal --k 2 --weights 0,1,1 --u 3,5 --v 1,5 --n 20 --method reflection",
+     "080572dfca3eedea785c56251e62349325aa5b699d53a2b03f702fd6a830bd14"),
+    ("count --kind diagonal --k 6 --weights 0,1 --u 3,5,7,9,11,13 --v 1,3,7,9,11,13 --n 100 "
+     "--method reflection",
+     "4d86a4b239bc785864b4cb669aaa3deb00972547077e6fdc5467a00ded058c95"),
+    ("count --kind axis --k 2 --weights 0,1 --u 3,4 --n 30 --method reflection",
+     "ae81da85314a34100aba8d9a8d617d80bd9bb852d784876048ea23277555858d"),
+    ("count --kind diagonal --k 3 --weights 0,1 --u 3,5,7 --v 1,3,7 --n 60 --method dp",
+     "5ca547a0776cfae5562338ce2667a10ecfd59b109eea98b132f0aad94bce40b3"),
+    ("count --kind axis --k 3 --weights 0,1 --u 1,3,5 --v 1,3,5 --n 40 --method dp",
+     "af7d52ce44254d65944b1fe1aed89004ddcab44e076e49d5182f1692ee499719"),
+    ("count --kind diagonal --k 4 --weights 0,1 --u 1,3,5,9 --n 30 --method dp",
+     "d3ea1615bccc45c53781d841c3a4fbabeb054049adb8ea9aaab544b968ebbba8"),
+    ("count --kind axis --k 2 --weights 0,1,1 --u 2,4 --v 2,4 --n 10:50:10 --method dp",
+     "8245d896f46caf823b8a1c39c59b1218390f6e357584c88b13c5a8d4ff1c0c69"),
+    ("count --kind diagonal --k 1 --weights 0,1 --u 1 --v 1 --n 4470 --method dp",
+     "6b851bc3d59451aba529f9ef5f4f0c1360bda60a28e1d027aa11e47b6d1da2a1"),
+    ("count --kind axis --k 1 --weights 1,1 --u 1 --v 1 --n 2236 --method reflection",
+     "9d07bd9a9bf5b6b3f45773b1d165273e5bcf9fa15c6dd18d1520ec43355bf30b"),
+    ("count --kind axis --k 3 --weights 0,1 --u 1,2,3 --v 1,2,4 --n 77 --method dp",
+     "ba4af855a4ae79420d2d4ec9163f51fc9ba38b5303d474b10c50a6ddc9133559"),
+    ("preset tangled-isolated --k 2 --n 12",
+     "204653b54de148aa2c00e1051d4bae9e669de0e53f8d200a23d35c5509cd322b"),
+    ("compare --kind axis --k 2 --weights 0,1 --u 3,4 --grid 8:24:8",
+     "6817c37bdf2a1e08c047a7e0a65be57d41278f7eaabe7b03c5067aa29cca6020"),
+    ("count --kind axis --k 3 --weights 0,1 --u 1,2,5 --v 3,4,5 --n 400 --method dp",
+     "4794ebcbb1d8d9f001a0cd1d33ce2a94789460b97bd5d56c12160caef6845a4a"),
+]
+
+
+@pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_cli_output_is_unchanged(command, digest):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "chamberwalk.cli", *command.split()],
+                          env=env, capture_output=True, text=True, timeout=120)
+    seen = json.dumps([proc.returncode, proc.stdout, proc.stderr])
+    assert hashlib.sha256(seen.encode()).hexdigest() == digest, seen[:500]

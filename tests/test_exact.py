@@ -417,8 +417,7 @@ def test_endpoint_filter(kind, k, weights, u):
     for n in range(6):
         points = [v for v in itertools.combinations(range(1, max(u) + n * spec.degree + 2), k)
                   if lattice_contains(spec, v)]
-        frontier = dict(zip(points, exact._weighted_layers(
-            spec, n, u, exact._confined_step, lambda layer: [layer.get(v, 0) for v in points])))
+        frontier = dict(zip(points, exact._weighted_layers(spec, n, u, True, points)))
         rejected = []
         for v in points:
             if not spec.parity_allows(u, v, n):
@@ -582,6 +581,29 @@ def test_kernel_words_weigh_the_bit_size(n, over):
     assert work == 8 * (n + 1) + words
     assert _estimate(lambda: exact.count_unconstrained(spec, (1, 3), (1, 3), n)) == n + 1 + words
     assert (work > exact.DEFAULT_STATE_BUDGET) is over
+
+
+@pytest.mark.parametrize("kind,weights,u,v,n", [
+    # the first coordinate's digits straddle 2^16
+    (AtomicKind.AXIS, "0,1,1", (65534, 65537), (65535, 65537), 3),
+    (AtomicKind.DIAGONAL, "1,1", (65535, 65537), (65537, 65539), 2),
+    # v exactly n*degree from u
+    (AtomicKind.AXIS, "0,1,1", (1, 2), (1, 8), 3),
+    (AtomicKind.DIAGONAL, "0,0,1", (1, 3), (7, 9), 3),
+    (AtomicKind.AXIS, "0,1", tuple(range(1, 7)), (1, 2, 3, 4, 6, 8), 3),
+    (AtomicKind.DIAGONAL, "0,1", (1, 3, 5, 7, 9), (2, 4, 6, 10, 12), 3),
+], ids=["axis-2^16", "diagonal-2^16", "axis-edge", "diagonal-edge", "axis-k6", "diagonal-k5"])
+def test_packed_digits_never_carry(kind, weights, u, v, n):
+    """Large coordinates, far end points and wide k count as the tuple oracles do."""
+    spec = _spec(kind, len(u), weights)
+    frontier = _composite_dp(spec, u, n)
+    delta = tuple(b - a for a, b in zip(u, v))
+    assert frontier.get(v, 0) > 0
+    assert exact.count_confined(spec, u, v, n) == frontier[v]
+    assert exact.count_reflection(spec, u, v, n) == frontier[v]
+    assert exact.count_confined_free(spec, u, n) == sum(frontier.values())
+    assert exact.count_unconstrained(spec, u, v, n) \
+        == _composite_convolution(spec, n).get(delta, 0)
 
 
 # the largest estimate/counted ratio seen over both kinds, WEIGHT_LISTS, k <= 3
