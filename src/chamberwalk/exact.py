@@ -11,8 +11,10 @@ Three independent exact routes are provided:
 Every count uses S = P(A): sum_m [x^m]P(x)^n times the count of atomic
 walks of length m, with [x^m]P(x)^n from one expansion.  For the diagonal
 kind [z^d]A^m = prod_j C(m, (m + d_j)/2) is a closed form; the axis kernel and the
-confined DP (which keeps only chamber points) walk the atomic layers once, each point
-packed into one int so that a step adds one int offset, and read only what they need.
+confined DP (which keeps only chamber points, and for one end point only those still in
+its reach) walk the atomic layers once, each point packed into one int so that a step
+adds one int offset, and read only what they need.  A count whose end point is out of
+reach or ruled out by the step parity is 0, never refused (``_reachable``).
 The free-endpoint sum by reflection is one Pfaffian of one-dimensional counts, over no end point.
 
 Every route estimates its work before it runs and raises
@@ -109,16 +111,18 @@ def _weighted_layers(spec: CompositeSpec, n: int, start: tuple[int, ...], confin
     ``confined``.  A point x is the int sum_i (x_i + N) << (w*i), N = n*degree, with every
     coordinate within N steps of ``start`` a digit in [0, 2^w): a step adds one int and no
     digit carries; a point outside that box reads 0.  Only the values read are weighted.
+    A confined walk read at one point v keeps at layer m only the points v is within L - m
+    steps of, L the last length read: l1 steps for axis steps, l-infinity for diagonal ones.
     """
     lengths, coeffs = _weight_power(spec.weights, n)
-    top = n * spec.degree
+    top, axis = n * spec.degree, spec.kind is AtomicKind.AXIS
     width = (max(start) + 2 * top + 1).bit_length()
     shifts, mask = range(0, width * spec.k, width), (1 << width) - 1
 
     def pack(point, base=top):
         return sum((x + base) << s for x, s in zip(point, shifts))
 
-    def inside(key):  # top < x_1 + N < ... < x_k + N
+    def chamber(key, left):  # top < x_1 + N < ... < x_k + N, any left
         low = top
         for s in shifts:
             if (digit := key >> s & mask) <= low:
@@ -126,16 +130,28 @@ def _weighted_layers(spec: CompositeSpec, n: int, start: tuple[int, ...], confin
             low = digit
         return True
 
+    def near(key, left):  # in the chamber, and the aim within left steps
+        low = top
+        for s, t in zip(shifts, aim):
+            if (digit := key >> s & mask) <= low or (gap := abs(digit - t)) > left:
+                return False
+            low, left = digit, left - gap if axis else left
+        return True
+
     offsets = [pack(d, 0) for d in atomic_displacements(spec)]
     keys = [pack(p) if all(abs(x - y) <= top for x, y in zip(p, start)) else None
             for p in points] if points is not None else None
+    inside, last = chamber, 0
+    # the one point read is the aim; with none, the chamber test alone keeps the free DP fast
+    if keys and len(keys) == 1 and keys[0] is not None:
+        inside, last, aim = near, lengths[-1], [keys[0] >> s & mask for s in shifts]
     layer, m, total = {pack(start): 1}, 0, [0] * (1 if keys is None else len(keys))
     for length, c in zip(lengths, coeffs):
         while m < length:
             layer = _convolve(layer, offsets)
-            if confined:
-                layer = {key: mass for key, mass in layer.items() if inside(key)}
             m += 1
+            if confined:
+                layer = {key: mass for key, mass in layer.items() if inside(key, last - m)}
         read = [sum(layer.values())] if keys is None else [layer.get(key, 0) for key in keys]
         total = [t + c * x for t, x in zip(total, read)]
     return total
@@ -150,6 +166,7 @@ def _layer_work(spec: CompositeSpec, n: int, start: Sequence[int] | None = None)
     also holds at most the chamber points with x_k <= b + m, b = max(start):
     C(b + m, k), or C((b + m + 1)//2, k) for diagonal steps, which keep one
     parity.  The smaller of the two sums over m <= N is taken, in closed form.
+    A DP read at one end point keeps fewer points, but is charged the same bound.
     """
     k, top, axis = spec.k, n * spec.degree, spec.kind is AtomicKind.AXIS
     work = sum(2 ** i * math.comb(k, i) * math.comb(top + 1, i + 1) for i in range(k + 1)) \
@@ -174,11 +191,9 @@ def _signed_sum(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: 
     # shifts[j][(i, eps)] = v_j - eps*u_i: coordinate j of v - image(u)
     shifts = [{(i, eps): vj - eps * ui for i, ui in enumerate(u) for eps in (1, -1)} for vj in v]
     if spec.kind is AtomicKind.AXIS:
-        # an atomic walk of m <= n*degree steps moves at most m in l1: no other target is read;
-        # v - u is the nearest target (u, v sorted) or the only one: a far v is 0 before pricing
+        # an atomic walk of m <= n*degree steps moves at most m in l1: no other target is read
+        _check_work("displacement table updates", _layer_work(spec, n))
         targets, reach = {}, n * spec.degree
-        if sum(map(abs, map(operator.sub, v, u))) <= reach:
-            _check_work("displacement table updates", _layer_work(spec, n))
         for image, sign in signed:
             d = tuple(map(dict.__getitem__, shifts, image))
             if sum(map(abs, d)) <= reach:
@@ -192,6 +207,12 @@ def _signed_sum(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: 
     rows = [{key: _binomial_row(lengths, d) for key, d in row.items()} for row in shifts]
     return sum(sign * sum(map(math.prod, zip(coeffs, *map(dict.__getitem__, rows, image))))
                for image, sign in signed)
+
+
+def _reachable(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: int) -> bool:
+    """v within n*degree steps of u (l1 if axis, l-infinity if diagonal), parity allowing."""
+    far = (sum if spec.kind is AtomicKind.AXIS else max)(map(abs, map(operator.sub, v, u)))
+    return far <= n * spec.degree and spec.parity_allows(u, v, n)
 
 
 def _exact_count(route: Callable) -> Callable:
@@ -224,6 +245,8 @@ def count_unconstrained(spec: CompositeSpec, u: Sequence[int], v: Sequence[int],
     for p in (u, v):
         if not lattice_contains(spec, p):
             raise ValueError(f"{p} is not on the walk lattice")
+    if not _reachable(spec, u, v, n):
+        return 0
     if spec.kind is AtomicKind.DIAGONAL:  # the axis layer walk charges its own work
         _check_work("diagonal kernel work", *_term_size(spec, n))
     return _signed_sum(spec, u, v, n, [(tuple((j, 1) for j in range(spec.k)), 1)])
@@ -245,12 +268,21 @@ def signed_permutations(k: int) -> Iterator[tuple[tuple[int, ...], int]]:
 
 @_exact_count
 def count_reflection(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int):
-    """Signed sum over signed permutations of the unconstrained counts of ``_signed_sum``."""
+    """Signed sum over signed permutations of the unconstrained counts of ``_signed_sum``.
+
+    Within the budget every call sums all k!*2^k terms, the traced benchmark's
+    ``exact.signed_sum_terms``; a count ``_reachable`` rules out is 0, never refused.
+    """
     u = check_chamber_point(spec, u)
     v = check_chamber_point(spec, v)
     ops, integers, bits = _term_size(spec, n)
-    _check_work("signed sum work", math.factorial(spec.k) * 2 ** spec.k * ops, integers, bits)
-    return _signed_sum(spec, u, v, n, signed_permutations(spec.k))
+    try:
+        _check_work("signed sum work", math.factorial(spec.k) * 2 ** spec.k * ops, integers, bits)
+        return _signed_sum(spec, u, v, n, signed_permutations(spec.k))
+    except ResourceBudgetError:
+        if _reachable(spec, u, v, n):
+            raise
+        return 0
 
 
 def _term_size(spec: CompositeSpec, n: int) -> tuple[int, int, int]:
@@ -292,9 +324,7 @@ def count_confined(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: i
     """
     u = check_chamber_point(spec, u)
     v = check_chamber_point(spec, v)
-    far = (sum if spec.kind is AtomicKind.AXIS else max)(map(abs, map(operator.sub, v, u)))
-    return _confined_dp(spec, u, n, [v]) \
-        if far <= n * spec.degree and spec.parity_allows(u, v, n) else 0
+    return _confined_dp(spec, u, n, [v]) if _reachable(spec, u, v, n) else 0
 
 
 @_exact_count

@@ -95,6 +95,21 @@ class TestCount:
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["count"] == "0"
 
+    @pytest.mark.parametrize("method", ["reflection", "both"])
+    @pytest.mark.parametrize("args", [
+        # every coordinate of v is 1000 > n*degree from u
+        ("--kind", "diagonal", "--k", "6", "--weights", "0,1,1", "--u", "1,3,5,7,9,11",
+         "--v", "1001,1003,1005,1007,1009,1011"),
+        # one step from u, but every walk makes an even number of atomic steps
+        ("--kind", "axis", "--k", "7", "--weights", "0,1", "--u", "1,2,3,4,5,6,7",
+         "--v", "1,2,3,4,5,6,8"),
+    ], ids=["diagonal-far", "axis-parity"])
+    def test_unreachable_end_point_is_zero_by_reflection(self, args, method):
+        """The signed sum answers 0 before it prices its work, as the DP does."""
+        res = run("count", *args, "--n", "400", "--method", method)
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["count"] == "0"
+
     def test_resource_error_exit_3(self):
         res = run("count", "--kind", "axis", "--k", "3", "--weights", "0,1",
                   "--u", "1,2,3", "--v", "1,2,3", "--n", "1000000")

@@ -1,10 +1,10 @@
 """Golden CLI output: stdout, stderr and exit code of fixed commands, pinned by SHA-256.
 
 The commands are bench operations at seed 1 (reflection, free-endpoint and DP
-counts), three counts at the edge of the work budget (two refused just over
-it, one answered just under it), a preset, a compare grid and a budget
-refusal.  A digest that moves means the CLI prints something else for the
-same flags.
+counts), four counts at the edge of the work budget (two refused just over
+it, two answered just under it), a preset, a compare grid, a budget refusal
+and a DP count whose end point is exactly n*degree steps away.  A digest
+that moves means the CLI prints something else for the same flags.
 """
 
 import hashlib
@@ -53,6 +53,10 @@ GOLDEN = [
      "6817c37bdf2a1e08c047a7e0a65be57d41278f7eaabe7b03c5067aa29cca6020"),
     ("count --kind axis --k 3 --weights 0,1 --u 1,2,5 --v 3,4,5 --n 400 --method dp",
      "4794ebcbb1d8d9f001a0cd1d33ce2a94789460b97bd5d56c12160caef6845a4a"),
+    ("count --kind axis --k 2 --weights 1,1,1 --u 1,2 --v 21,22 --n 20 --method dp",
+     "3ac92156ad2064b4b11f9a86fe9d21875e2bc0c70338cc22f4b948bc639ef964"),
+    ("count --kind diagonal --k 3 --weights 0,1 --u 1,3,5 --v 1,3,5 --n 118 --method dp",
+     "4efe67637570ff2cff60df41ded081dec7c787dcea06158740700aa3ef43fe74"),
 ]
 
 

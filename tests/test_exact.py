@@ -412,7 +412,7 @@ def test_free_lockstep_k4_equals_confined_free():
     (AtomicKind.AXIS, 3, "0,1,1", (1, 2, 4)),
 ])
 def test_endpoint_filter(kind, k, weights, u):
-    """Every chamber point the parity rule rejects has DP count 0, and the DP says so at once."""
+    """Every chamber point the parity rule rejects has count 0, which no route refuses."""
     spec = _spec(kind, k, weights)
     for n in range(6):
         points = [v for v in itertools.combinations(range(1, max(u) + n * spec.degree + 2), k)
@@ -424,6 +424,10 @@ def test_endpoint_filter(kind, k, weights, u):
                 assert frontier[v] == 0
                 with mock.patch.object(exact, "_confined_dp", side_effect=AssertionError):
                     assert exact.count_confined(spec, u, v, n) == 0
+                with mock.patch.object(exact, "_signed_sum", side_effect=AssertionError):
+                    assert exact.count_unconstrained(spec, u, v, n) == 0
+                with mock.patch.object(exact, "DEFAULT_STATE_BUDGET", -1):
+                    assert exact.count_reflection(spec, u, v, n) == 0
                 rejected.append(v)
         if n and spec.parity is not None:
             assert rejected
@@ -563,7 +567,9 @@ def test_signed_sum_cost_bounds_the_lengths_without_expanding(weights, n):
     assert bound >= lengths and integers == 9 * bound
     # 8 signed-sum terms, each over every length, plus the kernel's words
     work = 8 * bound + integers * (bits // 64 + 1)
-    assert _estimate(lambda: exact.count_reflection(spec, (1, 3), (1, 3), n)) == work
+    # an end point the step parity allows: any other is answered 0, not priced
+    v = (1, 3) if spec.parity_allows((1, 3), (1, 3), n) else (2, 4)
+    assert _estimate(lambda: exact.count_reflection(spec, (1, 3), v, n)) == work
     weighted = [m for m, w in enumerate(spec.weights) if w]
     if len({b - a for a, b in zip(weighted, weighted[1:])}) <= 1:
         # weighted lengths in arithmetic progression: their n-fold sums fill it
@@ -606,6 +612,70 @@ def test_packed_digits_never_carry(kind, weights, u, v, n):
         == _composite_convolution(spec, n).get(delta, 0)
 
 
+def _chamber_pair(u, d):
+    """u and u + d, with d sorted if u + d is out of order, both shifted to stay above 0.
+
+    Sorting and shifting keep both norms of d; a sorted d keeps u + d in order.
+    """
+    v = [a + b for a, b in zip(u, d)]
+    if any(a >= b for a, b in zip(v, v[1:])):
+        v = [a + b for a, b in zip(u, sorted(d))]
+    shift = max(0, 1 - v[0])
+    return tuple(x + shift for x in u), tuple(x + shift for x in v)
+
+
+@settings(deadline=None, max_examples=100)
+@given(kind=st.sampled_from([AtomicKind.AXIS, AtomicKind.DIAGONAL]),
+       weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 3), n=st.integers(1, 6),
+       short=st.integers(0, 2), data=st.data())
+def test_dp_at_the_reach_edge(kind, weights, k, n, short, data):
+    """End points n*degree - short steps from u, short <= 2, count as the composite-step DP.
+
+    These are the points the reach pruning of the fixed-end DP keeps last.
+    """
+    spec = _spec(kind, k, weights)
+    far = max(0, n * spec.degree - short)
+    if kind is AtomicKind.AXIS:  # l1 norm far: k parts of far, each with a sign
+        cuts = sorted(data.draw(st.lists(st.integers(0, far), min_size=k - 1, max_size=k - 1)))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [far])]
+    else:  # l-infinity norm far, every part of far's parity to stay on the lattice
+        parts = [far] + [far - 2 * data.draw(st.integers(0, far)) for _ in range(k - 1)]
+        parts = data.draw(st.permutations(parts))
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
+    u, v = _chamber_pair(_chamber_point(data, kind, k), [s * p for s, p in zip(signs, parts)])
+    frontier = _composite_dp(spec, u, n)
+    assert exact.count_confined(spec, u, v, n) == frontier.get(v, 0)
+    assert exact.count_reflection(spec, u, v, n) == frontier.get(v, 0)
+
+
+def _dict_updates(route):
+    """The dict updates of ``_convolve`` while ``route`` runs."""
+    counted = []
+
+    def counting(dist, steps):
+        counted.append(len(dist) * len(steps))
+        return convolve(dist, steps)
+
+    convolve = exact._convolve
+    with mock.patch.object(exact, "_convolve", counting):
+        route()
+    return sum(counted)
+
+
+@pytest.mark.parametrize("kind,weights,u,v,n,share", [
+    (AtomicKind.DIAGONAL, "0,1", (1, 3, 5), (1, 3, 5), 24, 0.35),
+    (AtomicKind.AXIS, "1,1,1", (1, 2), (1, 2), 20, 0.35),
+    (AtomicKind.AXIS, "0,1", (1, 2, 3), (1, 2, 4), 21, 0.35),
+    (AtomicKind.DIAGONAL, "0,1", (1,), (1,), 200, 0.55),
+], ids=["lock-step-k3", "tangled-k2", "random-turns-k3", "lock-step-k1"])
+def test_fixed_end_dp_keeps_only_points_in_reach(kind, weights, u, v, n, share):
+    """A DP read at one end point moves at most ``share`` of the points the free DP moves."""
+    spec = _spec(kind, len(u), weights)
+    assert exact.count_confined(spec, u, v, n) > 0
+    fixed = _dict_updates(lambda: exact.count_confined(spec, u, v, n))
+    assert fixed <= share * _dict_updates(lambda: exact.count_confined_free(spec, u, n))
+
+
 # the largest estimate/counted ratio seen over both kinds, WEIGHT_LISTS, k <= 3
 # and n <= 10 is about 15
 LAYER_WORK_SLACK = 32
@@ -619,23 +689,16 @@ def test_layer_work_bounds_the_updates(kind, weights, k, n, data):
     """counted <= estimate <= C*(counted + 1) for the axis kernel and the DP, which charge it."""
     spec = _spec(kind, k, weights)
     u = _chamber_point(data, kind, k)
-    counted = []
-
-    def counting(dist, steps):
-        counted.append(len(dist) * len(steps))
-        return convolve(dist, steps)
-
-    convolve = exact._convolve
     routes = [(lambda: exact.count_confined_free(spec, u, n), exact._layer_work(spec, n, u))]
     if kind is AtomicKind.AXIS:
-        routes.append((lambda: exact.count_unconstrained(spec, u, u, n),
+        # an end point the step parity allows: any other is answered 0, not priced
+        v = u if spec.parity_allows(u, u, n) else u[:-1] + (u[-1] + 1,)
+        routes.append((lambda: exact.count_unconstrained(spec, u, v, n),
                        exact._layer_work(spec, n)))
     for route, estimate in routes:
         assert _estimate(route) == estimate
-        counted.clear()
-        with mock.patch.object(exact, "_convolve", counting):
-            route()
-        assert sum(counted) <= estimate <= LAYER_WORK_SLACK * (sum(counted) + 1)
+        counted = _dict_updates(route)
+        assert counted <= estimate <= LAYER_WORK_SLACK * (counted + 1)
 
 
 # the largest estimate/counted ratio seen over both kinds, WEIGHT_LISTS, k <= 4
