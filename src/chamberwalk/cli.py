@@ -237,10 +237,10 @@ def cmd_preset(name: str, k: int, n_value: int, u_text: Optional[str],
 def cmd_verify(suite_text: str, seed: int) -> None:
     """Runs the named verification suites; exits 0 iff everything passes."""
     names = [s.strip() for s in suite_text.split(",") if s.strip()]
-    for name in names:
-        if name not in verify.SUITES:
-            raise click.UsageError(
-                f"unknown suite {name!r}; choose from {', '.join(verify.SUITES)}")
+    unknown = [name for name in names if name not in verify.SUITES]
+    if unknown or not names:
+        what = f"unknown suite {unknown[0]!r}" if unknown else "--suite names no suite"
+        raise click.UsageError(f"{what}; choose from {', '.join(verify.SUITES)}")
     failures = []
     summary = {}
     for name in names:

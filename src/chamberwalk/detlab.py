@@ -4,9 +4,9 @@ Exact identities (type-C determinant evaluation, the Schur / odd-orthogonal
 character summation, the symplectic quotient) are checked in rational
 arithmetic with residual exactly zero; half-integer powers are handled by
 the substitution z = t^2 so no real square root ever enters an exact path.
-The determinant asymptotics (sin kernel, Gaussian kernel) are checked
-numerically in double precision, and the Selberg integrals by Gauss
-quadrature, which is exact for their polynomial integrands.
+So are the Selberg integrals and Aomoto ratios, by the exact moments of
+their polynomial integrands.  Only the determinant asymptotics (sin kernel,
+Gaussian kernel) are checked numerically, in double precision.
 """
 
 from __future__ import annotations
@@ -208,13 +208,15 @@ def mixed_vandermonde_det(u: Sequence[Fraction], a: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # determinant asymptotics (numeric)
 
+_LEADING_GATE = 0.5  # largest |residual| of a ratio to its leading form that passes
 
-def _odd_factorial_prod(k: int) -> float:
+
+def _odd_factorial_prod(k: int) -> int:
     return math.prod(math.factorial(2 * j - 1) for j in range(1, k + 1))
 
 
-def dsin_leading_ratio(u: Sequence[int], phi_direction: Sequence[float], eps: float,
-                       tol: float = 0.5) -> IdentityReport:
+def dsin_leading_ratio(u: Sequence[int], phi_direction: Sequence[float],
+                       eps: float) -> IdentityReport:
     """Ratio of det(sin(u_m phi_j)) to its leading form at phi = eps * direction.
 
     The leading form uses the sign (-1)^C(k,2); the observed sign is
@@ -239,11 +241,11 @@ def dsin_leading_ratio(u: Sequence[int], phi_direction: Sequence[float], eps: fl
     ratio = num / leading
     residual = abs(ratio) - 1.0
     return IdentityReport("dsin-leading", {"u": u, "eps": eps},
-                          abs(residual) <= tol, residual,
+                          abs(residual) <= _LEADING_GATE, residual,
                           sign_observed=1 if ratio > 0 else -1)
 
 
-def gaussian_kernel_det_ratio(k: int, eps: float, tol: float = 0.5) -> IdentityReport:
+def gaussian_kernel_det_ratio(k: int, eps: float) -> IdentityReport:
     """det(exp(-(x-y)^2) - exp(-(x+y)^2)) against its leading form at x=y=eps*(1..k)."""
     if not 0 < eps <= 0.3:
         raise ValueError("eps must lie in (0, 0.3]")
@@ -259,7 +261,7 @@ def gaussian_kernel_det_ratio(k: int, eps: float, tol: float = 0.5) -> IdentityR
     ratio = num / leading
     residual = ratio - 1.0
     return IdentityReport("gaussian-kernel", {"k": k, "eps": eps},
-                          abs(residual) <= tol, residual,
+                          abs(residual) <= _LEADING_GATE, residual,
                           sign_observed=1 if ratio > 0 else -1)
 
 
@@ -281,74 +283,71 @@ def sin_det_shift_residual(u: Sequence[int], signs: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Selberg integrals
+# Selberg integrals by exact moments: each is a rational times unit^k, with
+# unit sqrt(2 pi) for the Hermite weight exp(-x^2/2) on the line and sqrt(pi)
+# for the Laguerre weight x^(1/2) exp(-x) on x > 0.
+
+_UNIT_SQUARED = {"hermite": 2 * math.pi, "laguerre": math.pi}
+
+
+def _selberg_rational(k: int, weight: str) -> Fraction:
+    """The closed form over unit^k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if weight == "laguerre":
+        return Fraction(_odd_factorial_prod(k), 2 ** (k * k))
+    if weight == "hermite":
+        return Fraction(math.prod(math.factorial(j) for j in range(1, k + 1)))
+    raise ValueError(f"unknown weight {weight!r}")
 
 
 def selberg_closed_form(k: int, weight: str) -> float:
     """Closed forms of the Laguerre and Hermite Selberg integrals."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if weight == "laguerre":
-        return math.pi ** (k / 2) * 2.0 ** (-k * k) * _odd_factorial_prod(k)
-    if weight == "hermite":
-        return (2 * math.pi) ** (k / 2) * math.prod(math.factorial(j) for j in range(1, k + 1))
-    raise ValueError(f"unknown weight {weight!r}")
+    return float(_selberg_rational(k, weight)) * _UNIT_SQUARED[weight] ** (k / 2)
 
 
-def _squared_diff_prod(points: np.ndarray) -> np.ndarray:
-    k = points.shape[1]
-    out = np.ones(points.shape[0])
-    for j in range(k):
-        for m in range(j + 1, k):
-            out *= (points[:, m] - points[:, j]) ** 2
+def _moment(weight: str, p: int) -> Fraction:
+    """Integral of x^p against the weight, over its unit."""
+    if weight == "hermite":  # (p - 1)!! for even p
+        return Fraction(0 if p % 2 else math.prod(range(p - 1, 0, -2)))
+    return Fraction(math.prod(range(2 * p + 1, 0, -2)), 2 ** (p + 1))  # Gamma(p + 3/2)
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    """Product of polynomials held as {exponent tuple: integer coefficient}."""
+    out: dict = {}
+    for (ea, ca), (eb, cb) in itertools.product(a.items(), b.items()):
+        e = tuple(x + y for x, y in zip(ea, eb))
+        out[e] = out.get(e, 0) + ca * cb
     return out
 
 
-def _gauss_rule(weight: str, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``size``-point Gauss rule for the Selberg weight.
-
-    Hermite: exp(-x^2/2) on the real line.  Laguerre: x^(1/2) exp(-x) on
-    x > 0, by Golub-Welsch on the Jacobi matrix of the generalized Laguerre
-    polynomials with alpha = 1/2 (diagonal 2i + 3/2, off-diagonal
-    sqrt(i (i + 1/2))).  ``weight`` is one of the two, as checked by
-    ``selberg_closed_form``.
-    """
-    if weight == "hermite":
-        return np.polynomial.hermite_e.hermegauss(size)
-    i = np.arange(size)
-    jacobi = np.diag(2 * i + 1.5) + np.diag(np.sqrt(i[1:] * (i[1:] + 0.5)), -1)
-    nodes, vectors = np.linalg.eigh(jacobi)
-    return nodes, math.gamma(1.5) * vectors[0] ** 2
-
-
 def selberg_check(k: int, weight: str, which: str) -> IdentityReport:
-    """Gauss-quadrature check of the Selberg closed forms and Aomoto ratios.
+    """Exact check of the Selberg closed forms and Aomoto ratios by moments.
 
-    Each integrand is the Selberg weight times a polynomial of degree at
-    most 2k in every variable, so a tensor Gauss rule with k + 2 nodes per
-    axis evaluates it exactly up to rounding.  The Laguerre closed form is
-    the ordered-sector integral, smaller by k! than the full orthant; the
-    Hermite closed form is the full-space integral.  Pass iff the relative
-    error is at most 1e-12.
+    prod_{j<m} (x_m - x_j)^2, times sum x_j (Laguerre) or sum x_j^2 (Hermite)
+    for Aomoto, is integrated monomial by monomial.  The Laguerre closed form
+    is over the ordered sector, k! times smaller than the orthant.  Pass iff
+    the rationals are equal; the residual is their exact difference.
     """
     if which not in ("one", "aomoto"):
         raise ValueError(f"unknown check {which!r}")
-    target = selberg_closed_form(k, weight)
-    nodes, weights = _gauss_rule(weight, k + 2)
-    x = np.array(list(itertools.product(nodes, repeat=k)))
-    mass = np.prod(np.array(list(itertools.product(weights, repeat=k))), axis=1)
-    g = _squared_diff_prod(x)
+    target = _selberg_rational(k, weight)
+    unit = [tuple(int(i == m) for m in range(k)) for i in range(k)]
+    poly = {(0,) * k: 1}
+    for j, m in _pairs(k):
+        diff = {unit[m]: 1, unit[j]: -1}
+        poly = _poly_mul(_poly_mul(poly, diff), diff)
     if which == "aomoto":
-        if weight == "laguerre":
-            g *= np.sum(x, axis=1)
-            target *= k * k + k / 2
-        else:
-            g *= np.sum(x * x, axis=1)
-            target *= k * k
-    estimate = float(mass @ g)
+        degree = 1 if weight == "laguerre" else 2
+        poly = _poly_mul(poly, {tuple(degree * a for a in e): 1 for e in unit})
+        target *= Fraction(2 * k * k + k, 2) if weight == "laguerre" else k * k
+    moments = [_moment(weight, p) for p in range(2 * k + 1)]
+    value = sum(c * math.prod(moments[p] for p in e) for e, c in poly.items())
     if weight == "laguerre":
-        estimate /= math.factorial(k)
-    residual = estimate - target
+        value /= math.factorial(k)
+    scale = _UNIT_SQUARED[weight] ** (k / 2)
     return IdentityReport(f"selberg-{weight}-{which}",
-                          {"k": k, "estimate": estimate, "target": target},
-                          abs(residual) <= 1e-12 * abs(target), residual)
+                          {"k": k, "estimate": float(value) * scale,
+                           "target": float(target) * scale},
+                          value == target, value - target)

@@ -138,7 +138,7 @@ def suite_schur(seed: int) -> list[dict]:
 
 
 def suite_selberg(seed: int) -> list[dict]:
-    """Gauss-quadrature agreement with the Selberg closed forms and Aomoto ratios."""
+    """Selberg closed forms and Aomoto ratios against their exact moment integrals."""
     records = []
     for k in (1, 2):
         for weight in ("laguerre", "hermite"):

@@ -1,4 +1,4 @@
-"""Acceptance gate: the nine headline criteria, one reported line each.
+"""Acceptance gate: the headline criteria, one reported line each.
 
 Each test prints a single PASS/FAIL line (visible with ``pytest -v -s`` or
 on failure) in addition to asserting, so the gate doubles as a report.
@@ -75,6 +75,19 @@ def test_04_free_endpoint_leading_term():
         and -1.5 <= r1.fitted_slope <= -0.5 and -1.5 <= r2.fitted_slope <= -0.5
     report("free-endpoint leading term (free k=1, star k=2)", ok,
            f"slopes {r1.fitted_slope:.3f}, {r2.fitted_slope:.3f}")
+
+
+def test_04_free_endpoint_exponent_axis_steps():
+    """The free-endpoint exponent -k^2/2 for axis steps: random turns at k = 2, 3."""
+    slopes = []
+    ok = True
+    for u, grid in (((1, 2), [25, 50, 100, 200]), ((1, 2, 3), [20, 40, 80, 160])):
+        inst = presets.preset_spec("random-turns-free", len(u), u=u)
+        rep = asym.compare_series(inst.spec, inst.u, None, grid)
+        ok &= _decreasing(rep.rows) and -1.5 <= rep.fitted_slope <= -0.5
+        slopes.append(f"{rep.fitted_slope:.3f}")
+    report("free-endpoint exponent, axis steps (random-turns-free k=2,3)", ok,
+           "slopes " + ", ".join(slopes))
 
 
 def test_05_preset_consistency():
@@ -168,7 +181,7 @@ def test_08_selberg_suite():
         ok &= abs(detlab.selberg_check(2, weight, which).params["target"] - target) < 1e-9
         for k in (1, 2, 3, 4):
             ok &= detlab.selberg_check(k, weight, which).passed
-    report("Selberg integrals (closed forms + Gauss quadrature, relative 1e-12)", bool(ok))
+    report("Selberg integrals (closed forms + exact moments, residual 0)", bool(ok))
 
 
 def test_09_second_order_diagnostic():

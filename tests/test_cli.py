@@ -7,13 +7,15 @@ import subprocess
 import sys
 from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from click.testing import CliRunner
 
 import chamberwalk
-from chamberwalk import exact, verify
+from chamberwalk import exact, presets, verify
 from chamberwalk.cli import main
 
 
@@ -228,6 +230,14 @@ class TestVerify:
         res = run("verify", "--suite", "nonsense", "--seed", "7")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("suite_text", ["", ",", " , "])
+    def test_empty_suite_list_exit_2(self, suite_text, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verify, "run_suite", lambda name, seed: ran.append(name) or [])
+        res = run("verify", "--suite", suite_text, "--seed", "7")
+        assert res.exit_code == 2 and "names no suite" in res.output
+        assert ran == []
+
     def test_unknown_suite_rejected_before_any_suite_runs(self, monkeypatch):
         ran = []
         monkeypatch.setattr(verify, "run_suite", lambda name, seed: ran.append(name) or [])
@@ -244,6 +254,17 @@ class TestVerify:
     def test_deterministic_output(self):
         args = ("verify", "--suite", "det,dsin", "--seed", "3")
         assert run(*args).output == run(*args).output
+
+    def test_selberg_suite_runs_no_quadrature(self):
+        """The Selberg checks are exact: the process never loads numpy.polynomial."""
+        env = dict(os.environ)
+        package_root = str(Path(chamberwalk.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-X", "importtime", "-m", "chamberwalk.cli",
+                              "verify", "--suite", "selberg"], env=env, capture_output=True,
+                             text=True, timeout=30)
+        assert res.returncode == 0 and json.loads(res.stdout)["pass"] is True
+        assert "chamberwalk.detlab" in res.stderr and "numpy.polynomial" not in res.stderr
 
 
 
@@ -311,3 +332,130 @@ class TestErrorContract:
         res = run("verify", "--suite", "det", "--seed", "7")
         assert res.exit_code == 4
         assert res.output == "internal error: ValueError: bad quadrature\n"
+
+
+# ---------------------------------------------------------------------------
+# every input: a right answer or a documented refusal, driven through the CLI
+
+GOOD_WEIGHTS = ["0,1", "0,1,1", "1,0,2", "1/2,1/3", "1,1", "0,0,1", "1,1,1", "2/3,0,1/5"]
+BAD_WEIGHTS = ["0", "0,0", "0,0,0", "1,0,0", "0,-1", "1,x", "1/0", "", "1,,1"]
+PRESET_KINDS = {"lock-step-fixed": "diagonal", "watermelon": "diagonal",
+                "lock-step-free": "diagonal", "star": "diagonal",
+                "random-turns-fixed": "axis", "random-turns-free": "axis",
+                "tangled-isolated": "axis", "tangled-no-isolated": "axis"}
+
+
+def _text(point):
+    return ",".join(map(str, point))
+
+
+@st.composite
+def _chamber_point(draw, kind, k):
+    """A point strictly inside the chamber and on the kind's lattice."""
+    gap = 2 if kind == "diagonal" else 1
+    point = [draw(st.integers(1, 3))]
+    for _ in range(k - 1):
+        point.append(point[-1] + gap * draw(st.integers(1, 2)))
+    return point
+
+
+@st.composite
+def _bad_point(draw, kind, k):
+    """Off the diagonal lattice, not integers, outside the chamber, of the wrong dimension."""
+    point = draw(_chamber_point(kind, k))
+    return draw(st.sampled_from([
+        _text(point[:-1] + [point[-1] + 1]),
+        _text(point[:-1]) + ("," if k > 1 else "") + "1.5",
+        _text([0] + point[1:]),
+        _text(point[::-1]) if k > 1 else "-1",
+        _text(point + [point[-1] + 2]),
+        "a", "",
+    ]))
+
+
+@st.composite
+def _lengths(draw, grid=False, top=40):
+    """One length or a range (a grid of 3 or more), some invalid; the largest length too."""
+    n = draw(st.integers(0, top))
+    step = draw(st.integers(1, 10))
+    stop = n + step * draw(st.integers(2 if grid else 0, 4))
+    good = [(f"{n}:{stop}:{step}", stop)] if grid else [(str(n), n), (f"{n}:{stop}:{step}", stop)]
+    return draw(st.sampled_from(good * 4 + [
+        ("-1", None), (f"-2:{stop}:2", None), (f"{stop + 1}:{n}:1", None),
+        (f"{n}:{stop}:0", None), ("1:2", None), ("x", None),
+    ]))
+
+
+@st.composite
+def _cli_case(draw):
+    """An argument vector, and whether the count it asks for is 0 by reach or parity."""
+    command = draw(st.sampled_from(["count", "count", "count", "asym", "compare", "preset"]))
+    k = draw(st.integers(1, 3))
+    if command == "preset":
+        name = draw(st.sampled_from(presets.PRESET_NAMES))
+        args = ["preset", name, "--k", str(k), "--n", str(draw(st.integers(-2, 40)))]
+        for opt in ("--u", "--v"):
+            choice = draw(st.sampled_from(["none", "good", "bad"]))
+            if choice == "good":
+                args += [opt, _text(draw(_chamber_point(PRESET_KINDS[name], k)))]
+            elif choice == "bad":
+                args += [opt, draw(_bad_point(PRESET_KINDS[name], k))]
+        return args, False
+    kind = draw(st.sampled_from(["axis", "diagonal"]))
+    end = draw(st.sampled_from(["free", "chamber", "far", "parity", "bad"]))
+    weights = "0,1" if end == "parity" else draw(st.sampled_from(GOOD_WEIGHTS * 4 + BAD_WEIGHTS))
+    good_u = draw(st.integers(0, 5)) > 0 or end in ("far", "parity")
+    u = draw(_chamber_point(kind, k)) if good_u else None
+    # a zero count is drawn long enough that a route pricing it first would refuse it
+    zero_ends = command == "count" and end in ("far", "parity")
+    n_text, n_max = draw(_lengths(grid=command == "compare", top=400 if zero_ends else 40))
+    if end == "parity" and command == "count":
+        # one atomic step per step: an axis walk moves the coordinate sum by the
+        # parity of n, a diagonal walk every coordinate
+        n_max = 2 * draw(st.integers(0, 200)) + (kind == "diagonal")
+        n_text = str(n_max)
+    v = None
+    if end == "chamber":
+        v = _text(draw(_chamber_point(kind, k)))
+    elif end == "bad":
+        v = draw(_bad_point(kind, k))
+    elif end == "far":  # an even shift stays on the diagonal lattice
+        v = _text(u[:-1] + [u[-1] + 2 * (n_max or 0) * (len(weights.split(",")) - 1) + 2])
+    elif end == "parity":
+        v = _text(u[:-1] + [u[-1] + (2 if kind == "diagonal" else 1)])
+    args = [command, "--kind", kind, "--k", str(k), "--weights", weights,
+            "--u", _text(u) if good_u else draw(_bad_point(kind, k))]
+    if v is not None:
+        args += ["--v", v]
+    if command == "count":
+        args += ["--n", n_text, "--method", draw(st.sampled_from(["dp", "reflection", "both"]))]
+    elif command == "asym":
+        args += ["--n", str(draw(st.integers(-2, 60)))]
+    else:
+        args += ["--grid", n_text]
+    return args, zero_ends and weights in GOOD_WEIGHTS and n_max is not None
+
+
+@settings(deadline=None, max_examples=400)
+@given(case=_cli_case())
+@example(case=(["count", "--kind", "axis", "--k", "3", "--weights", "1,1,1", "--u", "1,2,3",
+                "--v", "1,2,803", "--n", "200", "--method", "dp"], True))
+@example(case=(["count", "--kind", "diagonal", "--k", "2", "--weights", "0,1", "--u", "1,3",
+                "--v", "1,5", "--n", "201", "--method", "both"], True))
+def test_every_input_is_answered_or_refused(case):
+    """Exit 0, 2 or 3, never a traceback; `both` always matches; a 0 by reach or parity
+    is answered, never refused.  A small budget keeps each example fast."""
+    args, zero = case
+    with mock.patch.object(exact, "DEFAULT_STATE_BUDGET", 10 ** 5):
+        res = run(*args)
+    assert res.exit_code in (0, 2, 3), (args, res.output, res.exception)
+    assert "Traceback" not in res.output
+    if res.exit_code == 3:
+        assert "budget" in res.stderr
+    if args[0] == "count" and res.exit_code != 2:
+        records = [json.loads(line) for line in res.stdout.splitlines()]
+        assert all(r["match"] for r in records if r["method"] == "both"), (args, records)
+    if zero:
+        assert res.exit_code == 0, (args, res.output)
+        assert all(r["count"] == "0" and r.get("count_reflection", "0") == "0"
+                   for r in records), (args, records)

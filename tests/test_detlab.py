@@ -175,7 +175,22 @@ class TestSelberg:
     def test_quadrature_matches_closed_form(self, weight, which, k):
         rep = detlab.selberg_check(k, weight, which)
         assert rep.passed
-        assert abs(rep.residual) <= 1e-12 * rep.params["target"]
+        assert rep.residual == 0 and isinstance(rep.residual, Fraction)
+        assert rep.params["estimate"] == pytest.approx(rep.params["target"], rel=1e-15)
+
+    @pytest.mark.parametrize("p", range(9))
+    def test_moments_against_the_gamma_function(self, p):
+        hermite = 0.0 if p % 2 else 2 ** (p / 2) * math.gamma((p + 1) / 2) / math.sqrt(math.pi)
+        assert float(detlab._moment("hermite", p)) == pytest.approx(hermite, rel=1e-14)
+        laguerre = math.gamma(p + 1.5) / math.sqrt(math.pi)
+        assert float(detlab._moment("laguerre", p)) == pytest.approx(laguerre, rel=1e-14)
+
+    def test_a_wrong_closed_form_fails_exactly(self, monkeypatch):
+        off = Fraction(1, 10 ** 30)
+        monkeypatch.setattr(detlab, "_selberg_rational", lambda k, weight: Fraction(3, 8) + off)
+        rep = detlab.selberg_check(2, "laguerre", "one")
+        assert not rep.passed and rep.residual == -off
+        assert rep.to_json()["residual"] == "-1/1000000000000000000000000000000"
 
     def test_rejects_unknown_weight_or_check(self):
         with pytest.raises(ValueError):
