@@ -106,9 +106,9 @@ def _squared_difference_product(u: Sequence[int]) -> int:
 
 def asym_fixed(spec: CompositeSpec, u: Sequence[int], v: Sequence[int],
                n: int) -> AsymptoticEstimate:
-    """Leading-order estimate of the confined count with both endpoints fixed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Leading-order estimate of the confined count with both endpoints fixed; none at n = 0."""
+    if n < 0:
+        raise ValueError(f"walk length n must be >= 0, got {n}")
     u = check_chamber_point(spec, u)
     v = check_chamber_point(spec, v)
     k = spec.k
@@ -125,15 +125,15 @@ def asym_fixed(spec: CompositeSpec, u: Sequence[int], v: Sequence[int],
         + log_exact(endpoint)
         - _log_factorial_odd(k)
     )
-    supported = spec.parity_allows(u, v, n)
+    supported = n > 0 and spec.parity_allows(u, v, n)
     log_value = base_log + float(n_power) * math.log(n) + constant_log if supported else math.nan
     return AsymptoticEstimate(log_value=log_value, supported=supported)
 
 
 def asym_free(spec: CompositeSpec, u: Sequence[int], n: int) -> AsymptoticEstimate:
-    """Leading-order estimate of the confined count with a free endpoint."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Leading-order estimate of the confined count with a free endpoint; none at n = 0."""
+    if n < 0:
+        raise ValueError(f"walk length n must be >= 0, got {n}")
     u = check_chamber_point(spec, u)
     k = spec.k
     lam = curvature(spec)
@@ -149,8 +149,9 @@ def asym_free(spec: CompositeSpec, u: Sequence[int], n: int) -> AsymptoticEstima
         + sum(math.lgamma(j) for j in range(1, k + 1))
         - _log_factorial_odd(k)
     )
-    log_value = base_log + float(n_power) * math.log(n) + constant_log
-    return AsymptoticEstimate(log_value=log_value, supported=True)
+    supported = n > 0
+    log_value = base_log + float(n_power) * math.log(n) + constant_log if supported else math.nan
+    return AsymptoticEstimate(log_value=log_value, supported=supported)
 
 
 # ---------------------------------------------------------------------------
@@ -161,18 +162,18 @@ def compare_series(spec: CompositeSpec, u: Sequence[int], v: Optional[Sequence[i
                    n_grid: Sequence[int]) -> ConvergenceReport:
     """Exact counts against the asymptotic estimate over a grid of lengths.
 
-    ``v=None`` selects the free-endpoint comparison.  Grid points with a
-    zero exact count are dropped; the decay of the residual
+    ``v=None`` selects the free-endpoint comparison.  Grid points with no
+    estimate (n = 0, or ruled out by the step parity) are dropped before
+    they are counted, and so are zero exact counts; the decay of the residual
     delta_n = exact/asym - 1 is fitted as log|delta| ~ slope * log n.
     """
     rows = []
     for n in sorted(set(n_grid)):
-        if v is None:
-            cnt = exact.count_reflection_free(spec, u, n)
-            est = asym_free(spec, u, n)
-        else:
-            cnt = exact.count_reflection(spec, u, v, n)
-            est = asym_fixed(spec, u, v, n)
+        est = asym_free(spec, u, n) if v is None else asym_fixed(spec, u, v, n)
+        if not est.supported:
+            continue
+        cnt = exact.count_reflection_free(spec, u, n) if v is None \
+            else exact.count_reflection(spec, u, v, n)
         if cnt <= 0:
             continue
         exact_log = log_exact(cnt)

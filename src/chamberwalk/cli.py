@@ -210,8 +210,6 @@ def cmd_preset(name: str, k: int, n_value: int, u_text: Optional[str],
     u = _parse_point(u_text, k, "u") if u_text is not None else None
     v = _parse_point(v_text, k, "v") if v_text is not None else None
     inst = presets.preset_spec(name, k, u=u, v=v)
-    if n_value < 0:  # checked before scaling: the count would quote the step count
-        raise ValueError(f"walk length n must be >= 0, got {n_value}")
     steps = inst.steps(n_value)
     if inst.free_endpoint:
         cnt = exact.count_reflection_free(inst.spec, inst.u, steps)

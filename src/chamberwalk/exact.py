@@ -346,18 +346,23 @@ def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
     down once from max(u) + max m, above which f vanishes, keeping sum_(y>x) f_j(y).
     """
     u = check_chamber_point(spec, u)
-    if spec.k == 1:  # both step kinds move the one coordinate by 1
-        spec = CompositeSpec(AtomicKind.DIAGONAL, 1, spec.weights)
+    if spec.kind is AtomicKind.AXIS and spec.k <= 2:
+        # an axis step moves x_1 or x_2 by 1, so (x_2 - x_1, x_1 + x_2) takes one diagonal
+        # step, and 0 < x_1 < x_2 iff 0 < x_2 - x_1 < x_1 + x_2; at k = 1, x_1 itself does
+        spec = CompositeSpec(AtomicKind.DIAGONAL, spec.k, spec.weights)
+        u = u if spec.k == 1 else (u[1] - u[0], u[0] + u[1])
     k, top, axis = spec.k, n * spec.degree, spec.kind is AtomicKind.AXIS
     # a convolution mixes the lengths, so axis vectors take every m <= top at once;
     # pointwise products keep them apart and take 16 at a time, holding 16 binomial rows
     box, size = max(u) + top, top + 1 if axis else _term_size(spec, n)[0]
     chunk = size if axis else 16
-    # work: k(k-1) ring products per x, and P(2r) = (2r-1)(P(2r-2)+1) for the Pfaffian of
-    # order 2r along row 0, of size scalar products pointwise or t(t+1)/2 as a convolution,
-    # t <= size and t <= top + 2max(u) - 2x past the leading zeros at x, each costing its
-    # words, as do the rows held; each entry of f_i(x) and rows, a unit per 4096 bits
-    pfaffian = functools.reduce(lambda p, r: (r - 1) * (p + 1), range(4, k + k % 2 + 1, 2), 0)
+    # work: k(k-1) ring products per x, and for the Pfaffian of order K one product per
+    # entry of each minor of order K - 2d > 2 it expands, C(K - d, d) of them, each of size
+    # scalar products pointwise or t(t+1)/2 as a convolution, t <= size and
+    # t <= top + 2max(u) - 2x past the leading zeros at x, each costing its words, as do the
+    # rows held; each entry of f_i(x) and rows, a unit per 4096 bits
+    order = k + k % 2
+    pfaffian = sum(math.comb(order - d, d) * (order - 2 * d - 1) for d in range(order // 2 - 1))
     products = (k * (k - 1) * (max(u) - 1) + pfaffian) * size * (size + 1) // 2 \
         + k * (k - 1) * (size + 2) ** 3 // 12 if axis else (box * k * (k - 1) + pfaffian) * size
     _check_work("free-endpoint Pfaffian work", (box * k * size + size * (2 * top + 3 - size) // 2)
@@ -379,7 +384,7 @@ def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
                                          product(f[i], tails[j]), product(f[j], tails[i])))
             tails = [list(map(operator.add, t, fi)) for t, fi in zip(tails, f)]
         entries.update({(i, k): tails[i] for i in range(k) if k % 2})
-        confined.update(zip(grid, _pfaffian(tuple(range(k + k % 2)), entries, product)))
+        confined.update(zip(grid, _pfaffian(order, entries, product)))
     return sum(c * confined[m] for m, c in zip(lengths, coeffs))
 
 
@@ -396,13 +401,19 @@ def _ring_product(binomials: dict | None, a: Sequence[int], b: Sequence[int]) ->
             for m in range(len(a))]
 
 
-def _pfaffian(rows: tuple[int, ...], entries: dict, product: Callable) -> list:
-    """Pfaffian over ``rows`` of the antisymmetric ``entries[i, j]``, i < j, along row 0."""
-    if len(rows) == 2:
-        return entries[rows]
-    terms = [product(entries[rows[0], j], _pfaffian(rows[1:p] + rows[p + 1:], entries, product))
-             for p, j in enumerate(rows[1:], 1)]
-    return [sum(t[::2]) - sum(t[1::2]) for t in zip(*terms)]
+def _pfaffian(order: int, entries: dict, product: Callable) -> list:
+    """Pfaffian of the antisymmetric ``entries[i, j]``, i < j < order, along the first row.
+
+    Each minor is expanded once: C(order - d, d) minors of order - 2d rows are reached.
+    """
+    @functools.cache
+    def minor(rows: tuple[int, ...]) -> list:
+        if len(rows) == 2:
+            return entries[rows]
+        terms = [product(entries[rows[0], j], minor(rows[1:p] + rows[p + 1:]))
+                 for p, j in enumerate(rows[1:], 1)]
+        return [sum(t[::2]) - sum(t[1::2]) for t in zip(*terms)]
+    return minor(tuple(range(order)))
 
 
 def format_count(value) -> str:

@@ -1,7 +1,8 @@
 """Named walk models and their independently coded asymptotic formulas.
 
-Each preset bundles a composite spec with its conventional endpoints and a
-length convention (the watermelon parameter n means 2n composite steps).
+One table, ``_PRESETS``, gives each preset its composite spec, its default
+end points and its length convention (the watermelon parameter n means 2n
+composite steps).
 The per-preset asymptotic evaluators are written directly from the
 specialized closed forms, independent of the general evaluators in
 ``asym``, so the two can be cross-checked against each other.
@@ -17,19 +18,21 @@ from typing import Optional, Sequence
 from chamberwalk.asym import AsymptoticEstimate
 from chamberwalk.stepmodel import AtomicKind, CompositeSpec, check_chamber_point
 
-PRESET_NAMES = (
-    "lock-step-fixed",
-    "watermelon",
-    "lock-step-free",
-    "star",
-    "random-turns-fixed",
-    "random-turns-free",
-    "tangled-isolated",
-    "tangled-no-isolated",
-)
-
-_FIXED_ENDPOINT = {"lock-step-fixed", "watermelon", "random-turns-fixed",
-                   "tangled-isolated", "tangled-no-isolated"}
+# name: (atomic kind, weights, fixed end point?, composite steps per unit of n).  A walk
+# starts by default at the wall, the chamber's lowest lattice point (walker heights shifted
+# by +1): (1, 3, ..., 2k-1) for diagonal steps, (1, 2, ..., k) for axis steps.  A fixed end
+# point is by default the start.
+_PRESETS = {
+    "lock-step-fixed": (AtomicKind.DIAGONAL, (0, 1), True, 1),
+    "watermelon": (AtomicKind.DIAGONAL, (0, 1), True, 2),
+    "lock-step-free": (AtomicKind.DIAGONAL, (0, 1), False, 1),
+    "star": (AtomicKind.DIAGONAL, (0, 1), False, 1),
+    "random-turns-fixed": (AtomicKind.AXIS, (0, 1), True, 1),
+    "random-turns-free": (AtomicKind.AXIS, (0, 1), False, 1),
+    "tangled-isolated": (AtomicKind.AXIS, (1, 1, 1), True, 1),
+    "tangled-no-isolated": (AtomicKind.AXIS, (0, 1, 1), True, 1),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 @dataclass(frozen=True)
@@ -45,53 +48,28 @@ class PresetInstance:
         return self.v is None
 
     def steps(self, n: int) -> int:
+        if n < 0:  # checked before scaling: the error quotes the n typed
+            raise ValueError(f"walk length n must be >= 0, got {n}")
         return self.length_scale * n
-
-
-def _spec_for(name: str, k: int) -> CompositeSpec:
-    if name in ("lock-step-fixed", "watermelon", "lock-step-free", "star"):
-        return CompositeSpec(AtomicKind.DIAGONAL, k, [0, 1])
-    if name in ("random-turns-fixed", "random-turns-free"):
-        return CompositeSpec(AtomicKind.AXIS, k, [0, 1])
-    if name == "tangled-isolated":
-        return CompositeSpec(AtomicKind.AXIS, k, [1, 1, 1])
-    if name == "tangled-no-isolated":
-        return CompositeSpec(AtomicKind.AXIS, k, [0, 1, 1])
-    raise ValueError(f"unknown preset {name!r}")
 
 
 def preset_spec(name: str, k: int, u: Optional[Sequence[int]] = None,
                 v: Optional[Sequence[int]] = None) -> PresetInstance:
-    """Builds a preset instance; endpoints may override the defaults.
-
-    Walker heights 0, 2, ..., 2k-2 are stored shifted by +1 into chamber
-    coordinates, so the watermelon and star defaults are (1, 3, ..., 2k-1)
-    and the tangled defaults are (1, 2, ..., k).
-    """
+    """Builds a preset instance; endpoints may override the defaults of ``_PRESETS``."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    spec = _spec_for(name, k)
-    odd = tuple(2 * j - 1 for j in range(1, k + 1))
-    consecutive = tuple(range(1, k + 1))
-    if name == "watermelon":
-        u = odd if u is None else u
-        v = odd if v is None else v
-    elif name == "star":
-        u = odd if u is None else u
-    elif name in ("tangled-isolated", "tangled-no-isolated"):
-        u = consecutive if u is None else u
-        v = consecutive if v is None else v
-    if u is None:
-        raise ValueError(f"preset {name!r} requires an explicit starting point")
-    u = check_chamber_point(spec, u)
-    if name in _FIXED_ENDPOINT:
-        if v is None:
-            raise ValueError(f"preset {name!r} requires an explicit end point")
-        v = check_chamber_point(spec, v)
-    else:
-        if v is not None:
-            raise ValueError(f"preset {name!r} has a free end point")
-    length_scale = 2 if name == "watermelon" else 1
+    try:
+        kind, weights, fixed_end, length_scale = _PRESETS[name]
+    except KeyError:
+        raise ValueError(f"unknown preset {name!r}") from None
+    spec = CompositeSpec(kind, k, weights)
+    gap = 2 if kind is AtomicKind.DIAGONAL else 1
+    wall = tuple(range(1, gap * k + 1, gap))
+    u = check_chamber_point(spec, wall if u is None else u)
+    if fixed_end:
+        v = check_chamber_point(spec, wall if v is None else v)
+    elif v is not None:
+        raise ValueError(f"preset {name!r} has a free end point")
     return PresetInstance(name=name, spec=spec, u=u, v=v, length_scale=length_scale)
 
 
@@ -127,13 +105,13 @@ def _free_endpoint_log(u: Sequence[int]) -> float:
 
 
 def preset_asym(instance: PresetInstance, n: int) -> AsymptoticEstimate:
-    """Leading term of the preset's specialized asymptotic formula (log space)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Leading term of the preset's specialized asymptotic formula (log space); none at n = 0."""
+    if n < 0:
+        raise ValueError(f"walk length n must be >= 0, got {n}")
     k = instance.spec.k
     name = instance.name
     u, v = instance.u, instance.v
-    log2, logpi, logn = math.log(2), math.log(math.pi), math.log(n)
+    log2, logpi = math.log(2), math.log(math.pi)
 
     odd = tuple(2 * j - 1 for j in range(1, k + 1))
 
@@ -191,6 +169,6 @@ def preset_asym(instance: PresetInstance, n: int) -> AsymptoticEstimate:
     else:
         raise ValueError(f"unknown preset {name!r}")
 
-    supported = v is None or instance.spec.parity_allows(u, v, instance.steps(n))
-    log_value = base_log + float(n_power) * logn + constant_log if supported else math.nan
+    supported = n > 0 and (v is None or instance.spec.parity_allows(u, v, instance.steps(n)))
+    log_value = base_log + float(n_power) * math.log(n) + constant_log if supported else math.nan
     return AsymptoticEstimate(log_value=log_value, supported=supported)

@@ -49,18 +49,8 @@ def random_fraction(rng: random.Random, lo: int = -9, hi: int = 9) -> Fraction:
 
 
 def preset_instances(k: int) -> list:
-    """Every preset at dimension k; the walks that need end points start at the wall."""
-    instances = []
-    for name in presets.PRESET_NAMES:
-        u = tuple(range(1, k + 1)) if name.startswith("random-turns") \
-            else tuple(2 * j - 1 for j in range(1, k + 1))
-        if name in ("lock-step-fixed", "random-turns-fixed"):
-            instances.append(presets.preset_spec(name, k, u=u, v=u))
-        elif name in ("lock-step-free", "random-turns-free"):
-            instances.append(presets.preset_spec(name, k, u=u))
-        else:
-            instances.append(presets.preset_spec(name, k))
-    return instances
+    """Every preset at dimension k with its default end points."""
+    return [presets.preset_spec(name, k) for name in presets.PRESET_NAMES]
 
 
 # ---------------------------------------------------------------------------

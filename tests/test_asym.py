@@ -29,6 +29,13 @@ class TestSupport:
         assert spec.parity_allows((1,), (1,), 3)
         assert spec.parity_allows((1,), (2,), 3)
 
+    def test_no_estimate_at_length_zero(self):
+        for est in (asym.asym_fixed(LOCKSTEP_1, (1,), (1,), 0),
+                    asym.asym_free(LOCKSTEP_1, (1,), 0)):
+            assert not est.supported and math.isnan(est.log_value)
+        with pytest.raises(ValueError, match="walk length n must be >= 0, got -1"):
+            asym.asym_free(LOCKSTEP_1, (1,), -1)
+
 
 class TestLogExact:
     def test_small(self):
@@ -91,7 +98,7 @@ class TestConvergence:
         assert rep.fitted_slope == pytest.approx(-1.0, abs=0.2)
 
     def test_rows_sorted_and_supported_only(self):
-        rep = asym.compare_series(LOCKSTEP_1, (1,), (1,), [32, 16, 15, 64])
+        rep = asym.compare_series(LOCKSTEP_1, (1,), (1,), [32, 16, 15, 64, 0])
         assert [r.n for r in rep.rows] == [16, 32, 64]
 
     def test_needs_three_points(self):

@@ -166,6 +166,11 @@ class TestAsym:
                   "--u", "1", "--n", "100")
         assert json.loads(res.output)["supported"] is True
 
+    def test_length_zero_unsupported(self):
+        res = run("asym", "--kind", "diagonal", "--k", "1", "--weights", "0,1",
+                  "--u", "1", "--v", "1", "--n", "0")
+        assert res.exit_code == 0 and json.loads(res.output)["supported"] is False
+
 
 class TestCompare:
     def test_json(self):
@@ -187,6 +192,11 @@ class TestCompare:
                   "--u", "1", "--v", "1", "--grid", "16:32:16")
         assert res.exit_code == 2
 
+    def test_grid_skips_length_zero(self):
+        res = run("compare", "--kind", "diagonal", "--k", "1", "--weights", "0,1",
+                  "--u", "1", "--grid", "0:6:2")
+        assert res.exit_code == 0, res.output
+        assert [row["n"] for row in json.loads(res.output)["rows"]] == [2, 4, 6]
 
     def test_negative_grid_exit_2(self):
         res = run("compare", "--kind", "axis", "--k", "1", "--weights", "0,1",
@@ -214,6 +224,21 @@ class TestPreset:
         res = run("preset", "watermelon", "--k", "1", "--n", "-1")
         assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
         assert "walk length n must be >= 0, got -1" in res.output
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name", presets.PRESET_NAMES)
+    def test_default_end_points(self, name, k):
+        res = run("preset", name, "--k", str(k), "--n", "6")
+        assert res.exit_code == 0, res.output
+        inst = presets.preset_spec(name, k)
+        rec = json.loads(res.output)
+        assert rec["u"] == list(inst.u) and rec.get("v") == (inst.v and list(inst.v))
+
+    def test_length_zero_has_no_estimate(self):
+        res = run("preset", "star", "--k", "2", "--n", "0")
+        assert res.exit_code == 0, res.output
+        rec = json.loads(res.output)
+        assert rec["count"] == "1" and rec["supported"] is False and "ratio" not in rec
 
     def test_unknown_preset_exit_2(self):
         res = run("preset", "pineapple", "--k", "2", "--n", "10")
@@ -339,10 +364,7 @@ class TestErrorContract:
 
 GOOD_WEIGHTS = ["0,1", "0,1,1", "1,0,2", "1/2,1/3", "1,1", "0,0,1", "1,1,1", "2/3,0,1/5"]
 BAD_WEIGHTS = ["0", "0,0", "0,0,0", "1,0,0", "0,-1", "1,x", "1/0", "", "1,,1"]
-PRESET_KINDS = {"lock-step-fixed": "diagonal", "watermelon": "diagonal",
-                "lock-step-free": "diagonal", "star": "diagonal",
-                "random-turns-fixed": "axis", "random-turns-free": "axis",
-                "tangled-isolated": "axis", "tangled-no-isolated": "axis"}
+PRESET_KINDS = {name: presets.preset_spec(name, 1).spec.kind.value for name in presets.PRESET_NAMES}
 
 
 def _text(point):

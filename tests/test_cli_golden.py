@@ -2,8 +2,10 @@
 
 The commands are bench operations at seed 1 (reflection, free-endpoint and DP
 counts), four counts at the edge of the work budget (two refused just over
-it, two answered just under it), a preset, a compare grid, a budget refusal
-and a DP count whose end point is exactly n*degree steps away.  A digest
+it, two answered just under it), a preset, a compare grid, a budget refusal,
+a DP count whose end point is exactly n*degree steps away, presets at their
+default end points (one at n = 0, where there is no estimate), a star of 18
+walkers and a free axis count at k = 2, n = 400.  A digest
 that moves means the CLI prints something else for the same flags.
 """
 
@@ -57,6 +59,14 @@ GOLDEN = [
      "3ac92156ad2064b4b11f9a86fe9d21875e2bc0c70338cc22f4b948bc639ef964"),
     ("count --kind diagonal --k 3 --weights 0,1 --u 1,3,5 --v 1,3,5 --n 118 --method dp",
      "4efe67637570ff2cff60df41ded081dec7c787dcea06158740700aa3ef43fe74"),
+    ("preset lock-step-fixed --k 2 --n 10",
+     "efe1c9199cf868aa90c214aa038f3f8200e5cfcdebb3e4f8cc824018f148a761"),
+    ("preset star --k 18 --n 100",
+     "81f4333ab4cda342b53fdfd72db8f183e0f3d92748c4091b7d69f477dba3f946"),
+    ("preset star --k 2 --n 0",
+     "cffce81dd864944dbab197d49b87893b42b69b643bd9a9a119a83e673a29e6a0"),
+    ("count --kind axis --k 2 --weights 0,1 --u 1,3 --n 400 --method reflection",
+     "1c59c33412230a0222d07cc095a4b0e7ddfdda9eed57166218288de7cbee46ab"),
 ]
 
 

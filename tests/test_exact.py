@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -701,8 +702,8 @@ def test_layer_work_bounds_the_updates(kind, weights, k, n, data):
         assert counted <= estimate <= LAYER_WORK_SLACK * (counted + 1)
 
 
-# the largest estimate/counted ratio seen over both kinds, WEIGHT_LISTS, k <= 4
-# and n <= 8 is about 3
+# the largest estimate/counted ratio seen over both kinds, WEIGHT_LISTS, k <= 8
+# (k <= 3 for axis steps) and n <= 8 is about 3
 FREE_WORK_SLACK = 8
 
 
@@ -712,7 +713,7 @@ def _leading_zeros(vector):
 
 @settings(deadline=None, max_examples=80)
 @given(kind=st.sampled_from([AtomicKind.AXIS, AtomicKind.DIAGONAL]),
-       weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 4), n=st.integers(0, 8),
+       weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 8), n=st.integers(0, 8),
        data=st.data())
 def test_free_work_bounds_the_products(kind, weights, k, n, data):
     """counted <= estimate <= C*(counted + 1) for the free-endpoint Pfaffian.
@@ -721,16 +722,19 @@ def test_free_work_bounds_the_products(kind, weights, k, n, data):
     with x <= max(u) + m (above it the entry is 0), one per binomial row
     entry, and one per scalar product in its ring products, where a binomial
     convolution multiplies the pairs past the leading zeros of both factors.
-    At these lengths no integer has over 64 bits, so a word is a unit.
+    The memoised Pfaffian makes each product of a minor once.  Axis steps at
+    k = 2 are counted as diagonal steps from (u_2 - u_1, u_1 + u_2).  At these
+    lengths no integer has over 64 bits, so a word is a unit.
     """
     if kind is AtomicKind.AXIS:
         k = min(k, 3)
     spec = _spec(kind, k, weights)
     u = _chamber_point(data, kind, k)
     top = n * spec.degree
-    grid = range(top + 1) if kind is AtomicKind.AXIS and k > 1 \
+    grid = range(top + 1) if kind is AtomicKind.AXIS and k > 2 \
         else exact._weight_power(_integer_spec(spec).weights, n)[0]
-    counted = [sum((max(u) + m) * k + m + 1 for m in grid)]
+    high = sum(u) if kind is AtomicKind.AXIS and k == 2 else max(u)
+    counted = [sum((high + m) * k + m + 1 for m in grid)]
 
     def counting(binomials, a, b):
         if binomials is None:
@@ -746,6 +750,36 @@ def test_free_work_bounds_the_products(kind, weights, k, n, data):
     with mock.patch.object(exact, "_ring_product", counting):
         route()
     assert sum(counted) <= estimate <= FREE_WORK_SLACK * (sum(counted) + 1)
+
+
+def _pfaffian_by_rows(matrix):
+    """The Pfaffian of an antisymmetric matrix by expansion along its first row."""
+    if not matrix:
+        return 1
+    return sum((-1) ** (j - 1) * matrix[0][j]
+               * _pfaffian_by_rows([[row[c] for c in range(1, len(row)) if c != j]
+                                    for r, row in enumerate(matrix) if r not in (0, j)])
+               for j in range(1, len(matrix)))
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 8, 10, 12])
+def test_pfaffian_computes_each_minor_once(order):
+    """One product per entry of each minor of order > 2, C(order - d, d) minors of
+    order - 2d, with the value of the plain expansion along the first row."""
+    rng = random.Random(order)
+    upper = {(i, j): rng.randint(-9, 9) for i in range(order) for j in range(i + 1, order)}
+    matrix = [[upper.get((i, j), -upper.get((j, i), 0)) for j in range(order)]
+              for i in range(order)]
+    products = []
+
+    def product(a, b):
+        products.append(1)
+        return [x * y for x, y in zip(a, b)]
+
+    got = exact._pfaffian(order, {key: [value] for key, value in upper.items()}, product)
+    assert got == [_pfaffian_by_rows(matrix)]
+    assert len(products) == sum(math.comb(order - d, d) * (order - 2 * d - 1)
+                                for d in range(order // 2 - 1))
 
 
 def test_format_count():

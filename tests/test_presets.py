@@ -1,10 +1,11 @@
 """Preset models: defaults, length conventions, specialized asymptotics."""
 
+import itertools
 import math
 
 import pytest
 
-from chamberwalk import asym, exact, presets
+from chamberwalk import asym, exact, presets, verify
 from chamberwalk.stepmodel import AtomicKind
 
 
@@ -23,13 +24,29 @@ class TestPresetSpec:
     def test_tangled_defaults(self):
         inst = presets.preset_spec("tangled-isolated", 3)
         assert inst.u == (1, 2, 3) and inst.v == (1, 2, 3)
-        assert inst.spec.weights == presets._spec_for("tangled-isolated", 3).weights
+        assert inst.spec.kind is AtomicKind.AXIS and inst.spec.weights == (1, 1, 1)
 
-    def test_lockstep_requires_endpoints(self):
-        with pytest.raises(ValueError):
-            presets.preset_spec("lock-step-fixed", 2, u=(1, 3))
-        with pytest.raises(ValueError):
-            presets.preset_spec("lock-step-free", 2)
+    def test_every_preset_has_default_end_points(self):
+        defaults = {
+            "lock-step-fixed": ((1, 3), (1, 3)),
+            "watermelon": ((1, 3), (1, 3)),
+            "lock-step-free": ((1, 3), None),
+            "star": ((1, 3), None),
+            "random-turns-fixed": ((1, 2), (1, 2)),
+            "random-turns-free": ((1, 2), None),
+            "tangled-isolated": ((1, 2), (1, 2)),
+            "tangled-no-isolated": ((1, 2), (1, 2)),
+        }
+        instances = verify.preset_instances(2)
+        assert [inst.name for inst in instances] == list(presets.PRESET_NAMES)
+        for inst in instances:
+            assert inst == presets.preset_spec(inst.name, 2)
+            assert (inst.u, inst.v) == defaults[inst.name]
+
+    def test_negative_length_rejected(self):
+        inst = presets.preset_spec("watermelon", 1)
+        with pytest.raises(ValueError, match="walk length n must be >= 0, got -1"):
+            inst.steps(-1)
 
     def test_free_preset_rejects_v(self):
         with pytest.raises(ValueError):
@@ -79,17 +96,7 @@ class TestPresetAsym:
     @pytest.mark.parametrize("name", presets.PRESET_NAMES)
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_general_evaluator(self, name, k):
-        kwargs = {}
-        if name in ("lock-step-fixed",):
-            odd = tuple(2 * j - 1 for j in range(1, k + 1))
-            kwargs = {"u": odd, "v": odd}
-        elif name == "lock-step-free":
-            kwargs = {"u": tuple(2 * j - 1 for j in range(1, k + 1))}
-        elif name == "random-turns-fixed":
-            kwargs = {"u": tuple(range(1, k + 1)), "v": tuple(range(1, k + 1))}
-        elif name == "random-turns-free":
-            kwargs = {"u": tuple(range(1, k + 1))}
-        inst = presets.preset_spec(name, k, **kwargs)
+        inst = presets.preset_spec(name, k)
         for n in (10, 100, 1000):
             special = presets.preset_asym(inst, n)
             if not special.supported:
@@ -107,7 +114,83 @@ class TestPresetAsym:
         general = asym.asym_fixed(inst.spec, inst.u, inst.v, 100)
         assert special.log_value == pytest.approx(general.log_value, abs=1e-9)
 
+    @pytest.mark.parametrize("name", presets.PRESET_NAMES)
+    def test_no_estimate_at_length_zero(self, name):
+        inst = presets.preset_spec(name, 2)
+        est = presets.preset_asym(inst, 0)
+        assert not est.supported and math.isnan(est.log_value)
+        with pytest.raises(ValueError, match="walk length n must be >= 0, got -1"):
+            presets.preset_asym(inst, -1)
+
     def test_unsupported_parity(self):
         inst = presets.preset_spec("lock-step-fixed", 1, u=(1,), v=(1,))
         est = presets.preset_asym(inst, 15)
         assert not est.supported and math.isnan(est.log_value)
+
+
+# ---------------------------------------------------------------------------
+# tangled diagrams, enumerated from their definition
+
+
+def _matchings(slots):
+    """Every perfect matching of ``slots``, as a list of pairs in slot order."""
+    if not slots:
+        yield []
+        return
+    for p in range(1, len(slots)):
+        for rest in _matchings(slots[1:p] + slots[p + 1:]):
+            yield [(slots[0], slots[p])] + rest
+
+
+def _tangled_diagrams(n):
+    """(vertex degrees, arcs) of every tangled diagram on [n].
+
+    A tangled diagram is a graph on the vertices 1..n, drawn in order on a
+    line with its arcs above it, in which every vertex has degree at most
+    two; a loop (i, i) gives its vertex degree two.  The two arc ends at a
+    vertex of degree two leave it at two points side by side, its slots, and
+    which arc takes the left slot is part of the drawing: two arcs that share
+    a vertex are drawn crossing or not, and both drawings are diagrams.  So a
+    diagram is a choice of degrees and a perfect matching of the slots; a loop
+    joins the two slots of its vertex.
+    """
+    for degrees in itertools.product(range(3), repeat=n):
+        slots = [(i, side) for i, d in enumerate(degrees) for side in range(d)]
+        if len(slots) % 2 == 0:
+            for arcs in _matchings(slots):
+                yield degrees, arcs
+
+
+def _largest_crossing(arcs):
+    """The most arcs that cross each other pairwise: a_1 < ... < a_m < b_1 < ... < b_m."""
+    def cross(one, other):
+        (a, b), (c, d) = sorted([one, other])
+        return a < c < b < d
+
+    return max((m for m in range(1, len(arcs) + 1)
+                for group in itertools.combinations(arcs, m)
+                if all(itertools.starmap(cross, itertools.combinations(group, 2)))), default=0)
+
+
+def test_tangled_diagram_enumerator_by_hand():
+    """On [2]: no arc, a loop at 1, at 2 or at both, the arc (1, 2), and the double
+    arc (1, 2) drawn nested or crossing; the crossing one is 2-crossing."""
+    diagrams = list(_tangled_diagrams(2))
+    assert len(diagrams) == 7
+    assert sorted(_largest_crossing(arcs) for _, arcs in diagrams) == [0, 1, 1, 1, 1, 1, 2]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_tangled_presets_count_the_diagrams(n):
+    """The k-noncrossing tangled diagrams on [n], with and without isolated
+    vertices, are the walks of ``tangled-isolated`` and ``tangled-no-isolated``
+    in dimension k - 1 of n steps from their default end point to itself."""
+    largest = [(0 not in degrees, _largest_crossing(arcs))
+               for degrees, arcs in _tangled_diagrams(n)]
+    for k in (2, 3, 4):
+        for name, isolated_allowed in (("tangled-isolated", True), ("tangled-no-isolated", False)):
+            inst = presets.preset_spec(name, k - 1)
+            walks = exact.count_confined(inst.spec, inst.u, inst.v, inst.steps(n))
+            diagrams = sum(m < k and (isolated_allowed or none_isolated)
+                           for none_isolated, m in largest)
+            assert walks == diagrams, (name, k, n)
