@@ -138,7 +138,8 @@ def _weighted_layers(spec: CompositeSpec, n: int, start: tuple[int, ...], confin
             low, left = digit, left - gap if axis else left
         return True
 
-    offsets = [pack(d, 0) for d in atomic_displacements(spec)]
+    # at n = 0 no step is taken: the 2^k diagonal offsets are not built
+    offsets = [pack(d, 0) for d in atomic_displacements(spec)] if lengths[-1] else []
     keys = [pack(p) if all(abs(x - y) <= top for x, y in zip(p, start)) else None
             for p in points] if points is not None else None
     inside, last = chamber, 0
@@ -187,7 +188,11 @@ def _binomial_row(lengths: Sequence[int], d: int) -> tuple[int, ...]:
 
 def _signed_sum(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: int,
                 signed: Iterable[tuple[tuple, int]]) -> int:
-    """sum of sign * [z^(v - image(u))]S^n over the (image map, sign) pairs of ``signed``."""
+    """sum of sign * [z^(v - image(u))]S^n over the (image map, sign) pairs of ``signed``.
+
+    Every pair is drawn once.  For diagonal steps with one atomic length m, P(x)^n = c*x^m,
+    a term is one product of ints, streamed through C-level iterators with no Python frame.
+    """
     # shifts[j][(i, eps)] = v_j - eps*u_i: coordinate j of v - image(u)
     shifts = [{(i, eps): vj - eps * ui for i, ui in enumerate(u) for eps in (1, -1)} for vj in v]
     if spec.kind is AtomicKind.AXIS:
@@ -205,8 +210,15 @@ def _signed_sum(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: 
     lengths, coeffs = _weight_power(spec.weights, n)
     # rows[j][(i, eps)] holds [z^(v_j - eps*u_i)](z + 1/z)^m over the lengths m
     rows = [{key: _binomial_row(lengths, d) for key, d in row.items()} for row in shifts]
-    return sum(sign * sum(map(math.prod, zip(coeffs, *map(dict.__getitem__, rows, image))))
-               for image, sign in signed)
+    if len(lengths) > 1:
+        return sum(sign * sum(map(math.prod, zip(coeffs, *map(dict.__getitem__, rows, image))))
+                   for image, sign in signed)
+    # one length: each row entry is one int
+    rows = [{key: entry for key, (entry,) in row.items()} for row in rows]
+    images, signs = itertools.tee(signed)
+    terms = map(math.prod, map(map, itertools.repeat(dict.__getitem__), itertools.repeat(rows),
+                               map(operator.itemgetter(0), images)))
+    return coeffs[0] * sum(map(operator.mul, map(operator.itemgetter(1), signs), terms))
 
 
 def _reachable(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: int) -> bool:

@@ -5,7 +5,8 @@ counts), four counts at the edge of the work budget (two refused just over
 it, two answered just under it), a preset, a compare grid, a budget refusal,
 a DP count whose end point is exactly n*degree steps away, presets at their
 default end points (one at n = 0, where there is no estimate), a star of 18
-walkers and a free axis count at k = 2, n = 400.  A digest
+walkers, a free axis count at k = 2, n = 400, and two signed sums of one
+atomic length (lock-step k = 7 at the wall, and rational weights 0,1/3).  A digest
 that moves means the CLI prints something else for the same flags.
 """
 
@@ -67,6 +68,11 @@ GOLDEN = [
      "cffce81dd864944dbab197d49b87893b42b69b643bd9a9a119a83e673a29e6a0"),
     ("count --kind axis --k 2 --weights 0,1 --u 1,3 --n 400 --method reflection",
      "1c59c33412230a0222d07cc095a4b0e7ddfdda9eed57166218288de7cbee46ab"),
+    ("count --kind diagonal --k 7 --weights 0,1 --u 1,3,5,7,9,11,13 --v 1,3,5,7,9,11,13 "
+     "--n 40 --method reflection",
+     "9e200287c41f5c6943c97040984999c9be4002daa6b7c4715b93c346198c3ae4"),
+    ("count --kind diagonal --k 3 --weights 0,1/3 --u 1,3,5 --v 1,3,7 --n 20 --method reflection",
+     "a1268ee82de6027a6ae826a0e976f5ab445998148fbfe5884793e5cbe0b25136"),
 ]
 
 

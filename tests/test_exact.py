@@ -163,6 +163,16 @@ class TestUnconstrained:
                            (CompositeSpec(AtomicKind.DIAGONAL, 2, [1, 0, 2]), (1, 3), (3, 5))]:
             for n in range(5):
                 assert _naive_reflection(spec, u, v, n) == exact.count_reflection(spec, u, v, n)
+        # one atomic length (the streamed diagonal sum) and two (a sum over lengths per term)
+        for weights in ["0,1", "0,1/3", "0,0,2", "1/2,1/3"]:
+            for k in range(1, 5):
+                spec = _spec(AtomicKind.DIAGONAL, k, weights)
+                u = tuple(range(1, 2 * k, 2))
+                for v in (u, tuple(x + 1 for x in u), u[:-1] + (u[-1] + 2,)):
+                    for n in range(7):
+                        fast = exact.count_reflection(spec, u, v, n)
+                        assert _naive_reflection(spec, u, v, n) == fast, (weights, k, v, n)
+                        assert exact.count_confined(spec, u, v, n) == fast, (weights, k, v, n)
 
 
 class TestSignedPermutations:
@@ -176,6 +186,46 @@ class TestSignedPermutations:
         images = dict(exact.signed_permutations(3))
         ident = tuple((j, 1) for j in range(3))
         assert images[ident] == 1
+
+
+@pytest.mark.parametrize("kind,weights", [
+    (AtomicKind.AXIS, "0,1"), (AtomicKind.AXIS, "1,1,1"),
+    # one atomic length (the streamed sum) and several (a sum over lengths per term)
+    (AtomicKind.DIAGONAL, "0,1"), (AtomicKind.DIAGONAL, "0,1/3"),
+    (AtomicKind.DIAGONAL, "0,1,1"), (AtomicKind.DIAGONAL, "1/2,1/3")])
+def test_signed_sum_draws_every_term(kind, weights):
+    """Each count_reflection call within the budget draws all k!*2^k signed
+    permutations, reachable end point or not: the traced benchmark's check."""
+    drawn = []
+    real = exact.signed_permutations
+
+    def counting(k):
+        drawn.append(0)
+        for item in real(k):
+            drawn[-1] += 1
+            yield item
+
+    stride = 2 if kind is AtomicKind.DIAGONAL else 1
+    with mock.patch.object(exact, "signed_permutations", counting):
+        for k in range(1, 5):
+            spec = _spec(kind, k, weights)
+            u = tuple(range(1, stride * k + 1, stride))
+            far = u[:-1] + (u[-1] + 2 * 5 * spec.degree + 2,)  # out of reach in 5 steps
+            for v, n in [(u, 0), (u, 4), (u, 5), (far, 5)]:
+                drawn.clear()
+                exact.count_reflection(spec, u, v, n)
+                assert drawn == [math.factorial(k) * 2 ** k], (k, v, n)
+
+
+@pytest.mark.parametrize("kind", [AtomicKind.AXIS, AtomicKind.DIAGONAL])
+def test_dp_takes_no_step_at_n_zero(kind):
+    """At n = 0 the DP counts the empty walk without building the 2^18 or 36 atomic steps."""
+    spec = CompositeSpec(kind, 18, [0, 1])
+    stride = 2 if kind is AtomicKind.DIAGONAL else 1
+    u = tuple(range(1, stride * 18 + 1, stride))
+    with mock.patch.object(exact, "atomic_displacements", side_effect=AssertionError):
+        assert exact.count_confined_free(spec, u, 0) == 1
+        assert exact.count_confined(spec, u, u, 0) == 1
 
 
 @settings(deadline=None, max_examples=30)

@@ -194,3 +194,58 @@ def test_tangled_presets_count_the_diagrams(n):
             diagrams = sum(m < k and (isolated_allowed or none_isolated)
                            for none_isolated, m in largest)
             assert walks == diagrams, (name, k, n)
+
+
+# ---------------------------------------------------------------------------
+# watermelons, by a product formula that shares nothing with the exact routes
+
+
+def _watermelon(k, n):
+    """Lock-step walks of n steps from the wall (1, 3, ..., 2k-1) back to it.
+
+    For n = 2h it is prod_(1<=i<=j<=h-1) (i + j + 2k)/(i + j) (de Sainte-Catherine
+    and Viennot 1986; Krattenthaler, Guttmann and Viennot 2000); odd n gives 0.
+    The product over j telescopes: with H = h - 1 it is prod_(i<=H) prod_(t=1..2k)
+    (i + H + t) over prod_(i<=H) prod_(t=0..2k-1) (2i + t), one exact division.
+    """
+    if n % 2:
+        return 0
+    top = n // 2 - 1
+    num = math.prod(i + top + t for i in range(1, top + 1) for t in range(1, 2 * k + 1))
+    den = math.prod(2 * i + t for i in range(1, top + 1) for t in range(2 * k))
+    count, rest = divmod(num, den)
+    assert rest == 0
+    return count
+
+
+def test_watermelon_product_by_hand():
+    # k = 1: the Catalan numbers; k = 2: C_h C_(h+2) - C_(h+1)^2 (OEIS A005700)
+    assert [_watermelon(1, n) for n in range(0, 13, 2)] == [1, 1, 2, 5, 14, 42, 132]
+    assert [_watermelon(2, n) for n in range(0, 9, 2)] == [1, 1, 3, 14, 84]
+    assert _watermelon(3, 7) == 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_watermelon_product_equals_the_dp(k):
+    spec = presets.preset_spec("lock-step-fixed", k).spec
+    wall = tuple(range(1, 2 * k, 2))
+    for n in range(13):
+        assert exact.count_confined(spec, wall, wall, n) == _watermelon(k, n), (k, n)
+
+
+@pytest.mark.parametrize("name", ["lock-step-fixed", "watermelon"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_signed_sum_at_the_wall_is_the_watermelon_product(name, k):
+    inst = presets.preset_spec(name, k)
+    for steps in range(0, 41, 2):
+        n = steps // inst.length_scale
+        assert inst.steps(n) == steps
+        assert exact.count_reflection(inst.spec, inst.u, inst.v, steps) == _watermelon(k, steps)
+
+
+@pytest.mark.parametrize("name", ["lock-step-fixed", "watermelon"])
+def test_signed_sum_at_the_wall_is_the_watermelon_product_long(name):
+    inst = presets.preset_spec(name, 3)
+    steps = inst.steps(2000 // inst.length_scale)
+    assert steps == 2000
+    assert exact.count_reflection(inst.spec, inst.u, inst.v, steps) == _watermelon(3, steps)
