@@ -1,12 +1,14 @@
-"""Exact and numeric verification of the supporting determinant identities.
+"""Exact verification of the supporting determinant identities.
 
 Exact identities (type-C determinant evaluation, the Schur / odd-orthogonal
 character summation, the symplectic quotient) are checked in rational
 arithmetic with residual exactly zero; half-integer powers are handled by
 the substitution z = t^2 so no real square root ever enters an exact path.
 So are the Selberg integrals and Aomoto ratios, by the exact moments of
-their polynomial integrands.  Only the determinant asymptotics (sin kernel,
-Gaussian kernel) are checked numerically, in double precision.
+their polynomial integrands, and the determinant asymptotics (sin kernel,
+Gaussian kernel), by their exact power series in eps^2.  Only the
+maximal-point shift identity of the sin determinant is checked
+numerically, in double precision.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,18 +27,11 @@ class IdentityReport:
     identity: str
     params: dict
     passed: bool
-    residual: object            # exact Fraction/int or float
-    sign_observed: Optional[int] = None
+    residual: Fraction
 
     def to_json(self) -> dict:
-        res = self.residual
-        if isinstance(res, Fraction):
-            res = str(res)
-        obj = {"identity": self.identity, "params": self.params,
-               "pass": self.passed, "residual": res}
-        if self.sign_observed is not None:
-            obj["sign"] = self.sign_observed
-        return obj
+        return {"identity": self.identity, "params": self.params,
+                "pass": self.passed, "residual": str(self.residual)}
 
 
 # ---------------------------------------------------------------------------
@@ -66,20 +61,6 @@ def det_exact(matrix: Sequence[Sequence]) -> Fraction:
             for c in range(col, k):
                 m[r][c] -= factor * m[col][c]
     return det
-
-
-def det_cofactor(matrix: Sequence[Sequence]) -> Fraction:
-    """Cofactor-expansion oracle; only sensible for small matrices."""
-    k = len(matrix)
-    if k == 1:
-        return Fraction(matrix[0][0])
-    total = Fraction(0)
-    for col in range(k):
-        if matrix[0][col] == 0:
-            continue
-        minor = [[row[c] for c in range(k) if c != col] for row in matrix[1:]]
-        total += (-1) ** col * Fraction(matrix[0][col]) * det_cofactor(minor)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -206,63 +187,72 @@ def mixed_vandermonde_det(u: Sequence[Fraction], a: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# determinant asymptotics (numeric)
-
-_LEADING_GATE = 0.5  # largest |residual| of a ratio to its leading form that passes
+# determinant asymptotics, as exact power series in q = eps^2
 
 
 def _odd_factorial_prod(k: int) -> int:
     return math.prod(math.factorial(2 * j - 1) for j in range(1, k + 1))
 
 
-def dsin_leading_ratio(u: Sequence[int], phi_direction: Sequence[float],
-                       eps: float) -> IdentityReport:
-    """Ratio of det(sin(u_m phi_j)) to its leading form at phi = eps * direction.
+def _series_det(entries: Sequence[Sequence[Sequence[Fraction]]], top: int) -> list[Fraction]:
+    """Determinant, through q^top, of a matrix whose entries are coefficient lists in q."""
+    total = [Fraction(0)] * (top + 1)
+    for perm in itertools.permutations(range(len(entries))):
+        term = [Fraction(1)] + [Fraction(0)] * top
+        for row, col in enumerate(perm):
+            entry = entries[row][col]
+            term = [sum(term[i] * entry[p - i] for i in range(p + 1)) for p in range(top + 1)]
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        total = [t + sign * x for t, x in zip(total, term)]
+    return total
 
-    The leading form uses the sign (-1)^C(k,2); the observed sign is
-    recorded in the report.  The residual |ratio| - 1 is O(eps^2).
+
+def dsin_leading_ratio(u: Sequence[int], phi_direction: Sequence[Fraction]) -> IdentityReport:
+    """det(sin(u_m phi_j)) at phi = eps * direction, as an exact series in q = eps^2.
+
+    With one eps factored out of each row, entry (j, m) is
+    u_m d_j sum_r (-(u_m d_j)^2 q)^r / (2r+1)!.  Pass iff the series is
+    leading * q^C(k,2) * (1 + c1 q) + O(q^(C(k,2)+2)), where leading carries
+    the sign (-1)^C(k,2) and c1 = -(sum d_j^2)(sum u_m^2) / (2k(2k+1)).  The
+    residual is the lowest nonzero coefficient of ratio - (1 + c1 q).
     """
-    if not 0 < eps <= 0.3:
-        raise ValueError("eps must lie in (0, 0.3]")
     u = list(u)
+    d = [Fraction(x) for x in phi_direction]
     k = len(u)
-    phi = [eps * d for d in phi_direction]
-    if len(phi) != k or len(set(phi)) < k or any(p == 0 for p in phi):
-        raise ValueError("direction coordinates must be distinct and nonzero")
-    num = float(np.linalg.det(np.sin(np.outer(phi, u))))
-    leading = math.prod(phi)
+    if len(d) != k or any(len({x * x for x in v} - {0}) < k for v in (u, d)):
+        raise ValueError("u and the direction must each have k distinct nonzero squares")
+    low = k * (k - 1) // 2
+    leading = Fraction((-1) ** low * math.prod(u), _odd_factorial_prod(k)) * math.prod(d)
     for j, m in _pairs(k):
-        leading *= phi[m] ** 2 - phi[j] ** 2
-    leading *= (-1) ** (k * (k - 1) // 2)
-    for j in range(1, k + 1):
-        leading *= u[j - 1] / math.factorial(2 * j - 1)
-    for j, m in _pairs(k):
-        leading *= u[m] ** 2 - u[j] ** 2
-    ratio = num / leading
-    residual = abs(ratio) - 1.0
-    return IdentityReport("dsin-leading", {"u": u, "eps": eps},
-                          abs(residual) <= _LEADING_GATE, residual,
-                          sign_observed=1 if ratio > 0 else -1)
+        leading *= (d[m] ** 2 - d[j] ** 2) * (u[m] ** 2 - u[j] ** 2)
+    entries = [[[x * (-x * x) ** r / math.factorial(2 * r + 1) for r in range(low + 2)]
+                for x in (um * dj for um in u)] for dj in d]
+    c1 = -sum(x * x for x in d) * sum(x * x for x in u) / (2 * k * (2 * k + 1))
+    expected = [0] * low + [leading, leading * c1]
+    series = _series_det(entries, low + 1)
+    residual = next((c - e for c, e in zip(series, expected) if c != e), Fraction(0)) / leading
+    return IdentityReport("dsin-leading", {"u": u, "direction": [str(x) for x in d]},
+                          residual == 0, residual)
 
 
-def gaussian_kernel_det_ratio(k: int, eps: float) -> IdentityReport:
-    """det(exp(-(x-y)^2) - exp(-(x+y)^2)) against its leading form at x=y=eps*(1..k)."""
-    if not 0 < eps <= 0.3:
-        raise ValueError("eps must lie in (0, 0.3]")
-    x = eps * np.arange(1, k + 1, dtype=float)
-    y = x.copy()
-    diff = x[:, None] - y[None, :]
-    total = x[:, None] + y[None, :]
-    num = float(np.linalg.det(np.exp(-diff ** 2) - np.exp(-total ** 2)))
-    leading = math.prod(float(a * b) for a, b in zip(x, y))
-    for j, m in _pairs(k):
-        leading *= (x[m] ** 2 - x[j] ** 2) * (y[m] ** 2 - y[j] ** 2)
-    leading *= 2 ** (k * k + k) / _odd_factorial_prod(k)
-    ratio = num / leading
-    residual = ratio - 1.0
-    return IdentityReport("gaussian-kernel", {"k": k, "eps": eps},
-                          abs(residual) <= _LEADING_GATE, residual,
-                          sign_observed=1 if ratio > 0 else -1)
+def gaussian_kernel_det_ratio(k: int) -> IdentityReport:
+    """det(exp(-(x-y)^2) - exp(-(x+y)^2)) at x = y = eps*(1..k), as an exact series in q = eps^2.
+
+    Entry (i, j) is sum_r ((-(i-j)^2)^r - (-(i+j)^2)^r) q^r / r!.  Pass iff the
+    series is leading * q^(k^2) * (1 + c1 q) + O(q^(k^2+2)), with leading
+    2^(k^2+k) / prod_j (2j-1)! * (k! prod_{i<j} (j^2 - i^2))^2 and
+    c1 = -k(k+1)(2k+1)/3.  The residual is as in ``dsin_leading_ratio``.
+    """
+    x = range(1, k + 1)
+    low = k * k
+    leading = Fraction(2 ** (low + k), _odd_factorial_prod(k)) \
+        * (math.factorial(k) * math.prod(x[m] ** 2 - x[j] ** 2 for j, m in _pairs(k))) ** 2
+    entries = [[[Fraction((-(i - j) ** 2) ** r - (-(i + j) ** 2) ** r, math.factorial(r))
+                 for r in range(low + 2)] for j in x] for i in x]
+    expected = [0] * low + [leading, leading * Fraction(-k * (k + 1) * (2 * k + 1), 3)]
+    series = _series_det(entries, low + 1)
+    residual = next((c - e for c, e in zip(series, expected) if c != e), Fraction(0)) / leading
+    return IdentityReport("gaussian-kernel", {"k": k}, residual == 0, residual)
 
 
 def sin_det_shift_residual(u: Sequence[int], signs: Sequence[int],

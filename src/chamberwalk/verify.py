@@ -138,24 +138,17 @@ def suite_selberg(seed: int) -> list[dict]:
 
 
 def suite_dsin(seed: int) -> list[dict]:
-    """Quadratic decay of the determinant asymptotics residuals."""
+    """The eps^2 decay of the determinant asymptotics, as exact series coefficients."""
     rng = random.Random(seed)
     records = []
     for k in (1, 2, 3):
         u = sorted(rng.sample(range(1, 12), k))
-        direction = [j + rng.random() for j in range(k)]
-        res = {}
-        for eps in (0.1, 0.05):
-            rep = detlab.dsin_leading_ratio(u, direction, eps)
-            res[eps] = abs(rep.residual)
-        factor = res[0.1] / res[0.05] if res[0.05] else 4.0
-        records.append({"identity": "dsin-decay", "params": {"k": k, "u": u},
-                        "pass": 2.5 <= factor <= 6.0, "residual": factor})
-        res = {eps: abs(detlab.gaussian_kernel_det_ratio(k, eps).residual)
-               for eps in (0.1, 0.05)}
-        factor = res[0.1] / res[0.05] if res[0.05] else 4.0
-        records.append({"identity": "gaussian-kernel-decay", "params": {"k": k},
-                        "pass": 2.5 <= factor <= 6.0, "residual": factor})
+        direction = [j + Fraction(rng.randint(1, 9), 10) for j in range(k)]
+        for identity, params, rep in (
+                ("dsin-decay", {"k": k, "u": u}, detlab.dsin_leading_ratio(u, direction)),
+                ("gaussian-kernel-decay", {"k": k}, detlab.gaussian_kernel_det_ratio(k))):
+            records.append({"identity": identity, "params": params, "pass": rep.passed,
+                            "residual": str(rep.residual)})
     return records
 
 

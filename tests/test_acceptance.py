@@ -147,16 +147,11 @@ def test_07_determinant_asymptotics():
     details = []
     for k in (1, 2, 3):
         u = [2 * j - 1 for j in range(1, k + 1)]
-        direction = [j + 0.37 for j in range(k)]
-        res = {eps: abs(detlab.dsin_leading_ratio(u, direction, eps).residual)
-               for eps in (0.1, 0.05, 0.025)}
-        gres = {eps: abs(detlab.gaussian_kernel_det_ratio(k, eps).residual)
-                for eps in (0.1, 0.05, 0.025)}
-        for r in (res, gres):
-            for hi, lo in ((0.1, 0.05), (0.05, 0.025)):
-                factor = r[hi] / r[lo]
-                details.append(f"{factor:.2f}")
-                ok &= 3.0 <= factor <= 5.0
+        direction = [j + Fraction(37, 100) for j in range(k)]
+        # exact eps^2 series: zero below the leading order, then leading * (1 + c1 eps^2)
+        for rep in (detlab.dsin_leading_ratio(u, direction), detlab.gaussian_kernel_det_ratio(k)):
+            details.append(str(rep.residual))
+            ok &= rep.passed and rep.residual == 0
     # maximal-point sign identity across all presets
     rng = random.Random(SEED)
     for k in (1, 2, 3):
@@ -166,8 +161,8 @@ def test_07_determinant_asymptotics():
             for eps in maximal_points(inst.spec):
                 phi = [0.2 + 0.15 * j + 0.05 * rng.random() for j in range(k)]
                 ok &= detlab.sin_det_shift_residual(u, eps, phi) <= 1e-9
-    report("determinant asymptotics (eps^2 decay + sign identity)", bool(ok),
-           "factors " + ",".join(details))
+    report("determinant asymptotics (exact eps^2 series + sign identity)", bool(ok),
+           "residuals " + ",".join(details))
 
 
 def test_08_selberg_suite():

@@ -5,9 +5,10 @@ counts), four counts at the edge of the work budget (two refused just over
 it, two answered just under it), a preset, a compare grid, a budget refusal,
 a DP count whose end point is exactly n*degree steps away, presets at their
 default end points (one at n = 0, where there is no estimate), a star of 18
-walkers, a free axis count at k = 2, n = 400, and two signed sums of one
-atomic length (lock-step k = 7 at the wall, and rational weights 0,1/3).  A digest
-that moves means the CLI prints something else for the same flags.
+walkers, a free axis count at k = 2, n = 400, two signed sums of one
+atomic length (lock-step k = 7 at the wall, and rational weights 0,1/3), and two
+verify runs (every suite at seed 7; dsin and signs at seed 3).  A digest that
+moves means the CLI prints something else for the same flags.
 """
 
 import hashlib
@@ -73,6 +74,10 @@ GOLDEN = [
      "9e200287c41f5c6943c97040984999c9be4002daa6b7c4715b93c346198c3ae4"),
     ("count --kind diagonal --k 3 --weights 0,1/3 --u 1,3,5 --v 1,3,7 --n 20 --method reflection",
      "a1268ee82de6027a6ae826a0e976f5ab445998148fbfe5884793e5cbe0b25136"),
+    ("verify --seed 7",
+     "adc79adbd5d4b7698e4680c78d86dbb02ec813e1de66a14894486bbae3361e23"),
+    ("verify --suite dsin,signs --seed 3",
+     "adea402be98f9053a563c563aaf2a7cca12eac4d585d3f44fbc739ee87817890"),
 ]
 
 

@@ -1,6 +1,7 @@
-"""Determinant identities: exact rational checks and numeric asymptotics."""
+"""Determinant identities: exact rational checks, exact asymptotic series, the shift identity."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,20 @@ from hypothesis import given, settings, strategies as st
 from chamberwalk import detlab
 
 frac = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def det_cofactor(matrix):
+    """Cofactor-expansion oracle; only sensible for small matrices."""
+    k = len(matrix)
+    if k == 1:
+        return Fraction(matrix[0][0])
+    total = Fraction(0)
+    for col in range(k):
+        if matrix[0][col] == 0:
+            continue
+        minor = [[row[c] for c in range(k) if c != col] for row in matrix[1:]]
+        total += (-1) ** col * Fraction(matrix[0][col]) * det_cofactor(minor)
+    return total
 
 
 class TestDetExact:
@@ -27,7 +42,16 @@ class TestDetExact:
         lambda k: st.lists(st.lists(frac, min_size=k, max_size=k),
                            min_size=k, max_size=k)))
     def test_matches_cofactor_oracle(self, rows):
-        assert detlab.det_exact(rows) == detlab.det_cofactor(rows)
+        assert detlab.det_exact(rows) == det_cofactor(rows)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_series_det_of_constants(self, seed):
+        rng = random.Random(seed)
+        for k in (1, 2, 3, 4):
+            rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)]
+                    for _ in range(k)]
+            assert detlab._series_det([[[x] for x in row] for row in rows], 0) \
+                == [detlab.det_exact(rows)]
 
 
 class TestTypeCDeterminant:
@@ -110,34 +134,58 @@ class TestMixedVandermonde:
             detlab.mixed_vandermonde_det([Fraction(2), Fraction(1)], 1)
 
 
+def _sin(x):
+    return sum((-1) ** r * x ** (2 * r + 1) / math.factorial(2 * r + 1) for r in range(12))
+
+
+def _exp(x):
+    return sum(x ** r / math.factorial(r) for r in range(12))
+
+
 class TestSinDeterminantAsymptotics:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_ratio_near_one(self, k):
         u = [2 * j - 1 for j in range(1, k + 1)]
-        rep = detlab.dsin_leading_ratio(u, [j + 0.3 for j in range(k)], 0.05)
-        assert rep.passed
-        assert abs(rep.residual) < 0.1
+        rep = detlab.dsin_leading_ratio(u, [j + Fraction(3, 10) for j in range(k)])
+        assert rep.passed and rep.residual == 0
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_observed_sign(self, k):
-        u = list(range(1, k + 1))
-        rep = detlab.dsin_leading_ratio(u, [j + 0.5 for j in range(k)], 0.05)
-        assert rep.sign_observed == 1    # leading sign absorbed in the formula
-
-    def test_eps_out_of_range(self):
+    @pytest.mark.parametrize("direction", [[1, 1], [0, 1], [1, -1], [1], [1, 2, 3]])
+    def test_repeated_or_zero_direction_rejected(self, direction):
         with pytest.raises(ValueError):
-            detlab.dsin_leading_ratio([1], [1.0], 0.5)
+            detlab.dsin_leading_ratio([1, 3], direction)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_gaussian_kernel_ratio(self, k):
-        rep = detlab.gaussian_kernel_det_ratio(k, 0.05)
-        assert rep.passed
-        assert abs(rep.residual) < 0.2
+        rep = detlab.gaussian_kernel_det_ratio(k)
+        assert rep.passed and rep.residual == 0
 
     def test_quadratic_decay(self):
-        r1 = abs(detlab.dsin_leading_ratio([1, 3], [1.0, 2.2], 0.1).residual)
-        r2 = abs(detlab.dsin_leading_ratio([1, 3], [1.0, 2.2], 0.05).residual)
-        assert 3.0 <= r1 / r2 <= 5.0
+        # det / (eps^4 leading) = 1 + c1 eps^2 + O(eps^4), by Taylor sums at eps = 1e-4;
+        # by hand, leading = -u1 u2 d1 d2 (u2^2 - u1^2)(d2^2 - d1^2) / 3! and
+        # c1 = -(d1^2 + d2^2)(u1^2 + u2^2) / 20
+        rep = detlab.dsin_leading_ratio([1, 3], [1, Fraction(11, 5)])
+        assert rep.passed and rep.residual == 0
+        eps = Fraction(1, 10 ** 4)
+        det = detlab.det_exact([[_sin(u * eps * d) for u in (1, 3)] for d in (1, Fraction(11, 5))])
+        ratio = det / (eps ** 4 * Fraction(-4224, 125))
+        assert abs((ratio - 1) / eps ** 2 - Fraction(-73, 25)) < Fraction(1, 10 ** 6)
+
+    @pytest.mark.parametrize("k,leading,c1", [(1, 4, -2), (2, 384, -10)])
+    def test_gaussian_kernel_decay(self, k, leading, c1):
+        # leading = 2^(k^2+k) / prod (2j-1)! * (k! prod_{i<j} (j^2 - i^2))^2, c1 = -k(k+1)(2k+1)/3
+        eps = Fraction(1, 10 ** 4)
+        x = [eps * j for j in range(1, k + 1)]
+        det = detlab.det_exact([[_exp(-(a - b) ** 2) - _exp(-(a + b) ** 2) for b in x] for a in x])
+        ratio = det / (eps ** (2 * k * k) * leading)
+        assert abs((ratio - 1) / eps ** 2 - c1) < Fraction(1, 10 ** 6)
+
+    @pytest.mark.parametrize("scale,residual", [(2, 1), (-1, -2)])
+    def test_a_wrong_leading_form_fails_exactly(self, monkeypatch, scale, residual):
+        # halving or negating the leading form leaves the series' c0 off by that much
+        odd = detlab._odd_factorial_prod
+        monkeypatch.setattr(detlab, "_odd_factorial_prod", lambda k: scale * odd(k))
+        for rep in (detlab.dsin_leading_ratio([1, 3], [1, 2]), detlab.gaussian_kernel_det_ratio(2)):
+            assert not rep.passed and rep.residual == residual
 
 
 class TestSinShiftIdentity:

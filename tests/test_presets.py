@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -249,3 +250,31 @@ def test_signed_sum_at_the_wall_is_the_watermelon_product_long(name):
     steps = inst.steps(2000 // inst.length_scale)
     assert steps == 2000
     assert exact.count_reflection(inst.spec, inst.u, inst.v, steps) == _watermelon(3, steps)
+
+
+# ---------------------------------------------------------------------------
+# the 1/n term at the wall: delta_n = exact/asym - 1 = c/n + O(1/n^2)
+
+_WALL_COEFFICIENT = {
+    "lock-step-fixed": lambda k: Fraction(-k * (2 * k + 1) * (4 * k - 1), 4),
+    "lock-step-free": lambda k: Fraction(-k * (2 * k * k - 1), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WALL_COEFFICIENT))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_inverse_n_coefficient_at_the_wall(name, k):
+    """n*delta_n approaches c at every step, and its Richardson value is c to 1e-4."""
+    inst = presets.preset_spec(name, k)
+    target = float(_WALL_COEFFICIENT[name](k))
+    n_delta = {}
+    for n in (1000, 2000, 4000, 8000):
+        steps = inst.steps(n)
+        if inst.free_endpoint:
+            count = exact.count_reflection_free(inst.spec, inst.u, steps)
+        else:
+            count = exact.count_reflection(inst.spec, inst.u, inst.v, steps)
+        n_delta[n] = n * math.expm1(asym.log_exact(count) - presets.preset_asym(inst, n).log_value)
+    gaps = [abs(x - target) for x in n_delta.values()]
+    assert gaps == sorted(gaps, reverse=True) and len(set(gaps)) == len(gaps), n_delta
+    assert 2 * n_delta[8000] - n_delta[4000] == pytest.approx(target, rel=1e-4), n_delta
