@@ -165,10 +165,12 @@ def compare_series(spec: CompositeSpec, u: Sequence[int], v: Optional[Sequence[i
     ``v=None`` selects the free-endpoint comparison.  Grid points with no
     estimate (n = 0, or ruled out by the step parity) are dropped before
     they are counted, and so are zero exact counts; the decay of the residual
-    delta_n = exact/asym - 1 is fitted as log|delta| ~ slope * log n.
+    delta_n = exact/asym - 1 is fitted as log|delta| ~ slope * log n.  An
+    increasing ``range`` grid is walked as it is, without being expanded.
     """
     rows = []
-    for n in sorted(set(n_grid)):
+    walk = isinstance(n_grid, range) and n_grid.step > 0
+    for n in n_grid if walk else sorted(set(n_grid)):
         est = asym_free(spec, u, n) if v is None else asym_fixed(spec, u, v, n)
         if not est.supported:
             continue

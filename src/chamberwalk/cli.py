@@ -17,7 +17,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import click
 
@@ -50,8 +50,8 @@ def _build_spec(kind: str, k: int, weights: str) -> CompositeSpec:
     return CompositeSpec(AtomicKind(kind), k, _parse_weights(weights))
 
 
-def _parse_n_values(text: str) -> list[int]:
-    """Either a single integer or an inclusive start:stop:step range."""
+def _parse_n_values(text: str) -> Sequence[int]:
+    """Either a single integer or an inclusive start:stop:step range, never expanded."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -62,7 +62,7 @@ def _parse_n_values(text: str) -> list[int]:
             raise click.UsageError("range must be start:stop:step with integers")
         if step < 1 or stop < start:
             raise click.UsageError("range requires step >= 1 and stop >= start")
-        return list(range(start, stop + 1, step))
+        return range(start, stop + 1, step)
     try:
         return [int(text)]
     except ValueError:
@@ -250,7 +250,7 @@ def cmd_verify(suite_text: str, seed: int) -> None:
     report = {"seed": seed, "suites": summary, "pass": not failures}
     if failures:
         report["failures"] = failures
-    click.echo(json.dumps(report, sort_keys=True, default=str))
+    click.echo(json.dumps(report, sort_keys=True))
     if failures:
         sys.exit(EXIT_FAIL)
 

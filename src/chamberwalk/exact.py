@@ -168,8 +168,11 @@ def _layer_work(spec: CompositeSpec, n: int, start: Sequence[int] | None = None)
     C(b + m, k), or C((b + m + 1)//2, k) for diagonal steps, which keep one
     parity.  The smaller of the two sums over m <= N is taken, in closed form.
     A DP read at one end point keeps fewer points, but is charged the same bound.
+    With N = 0 no step is taken, and nothing is charged.
     """
     k, top, axis = spec.k, n * spec.degree, spec.kind is AtomicKind.AXIS
+    if top == 0:
+        return 0
     work = sum(2 ** i * math.comb(k, i) * math.comb(top + 1, i + 1) for i in range(k + 1)) \
         if axis else (top + 1) ** (k + 1)
     if start is not None:

@@ -101,6 +101,11 @@ class TestConvergence:
         rep = asym.compare_series(LOCKSTEP_1, (1,), (1,), [32, 16, 15, 64, 0])
         assert [r.n for r in rep.rows] == [16, 32, 64]
 
+    @pytest.mark.parametrize("grid", [range(15, 65, 1), range(64, 14, -1)])
+    def test_a_range_grid_is_walked_as_the_list(self, grid):
+        assert asym.compare_series(LOCKSTEP_1, (1,), (1,), grid) \
+            == asym.compare_series(LOCKSTEP_1, (1,), (1,), list(grid))
+
     def test_needs_three_points(self):
         with pytest.raises(asym.DiagnosticError):
             asym.compare_series(LOCKSTEP_1, (1,), (1,), [16, 32])

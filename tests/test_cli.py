@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from click.testing import CliRunner
 
 import chamberwalk
-from chamberwalk import exact, presets, verify
+from chamberwalk import detlab, exact, presets, verify
 from chamberwalk.cli import main
 
 
@@ -117,6 +117,24 @@ class TestCount:
                   "--u", "1,2,3", "--v", "1,2,3", "--n", "1000000")
         assert res.exit_code == 3
 
+    def test_huge_range_streams_until_refused(self):
+        """A range is never expanded: lengths are counted in order until the budget refuses."""
+        res = run("count", "--kind", "diagonal", "--k", "6", "--weights", "0,1",
+                  "--u", _odd(6), "--v", _odd(6), "--n", f"0:{10 ** 18}:1", "--method", "dp")
+        assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
+        assert "budget" in res.output and "Traceback" not in res.output
+        lines = res.output.splitlines()
+        lengths = [json.loads(line)["n"] for line in lines if line.startswith("{")]
+        assert lengths == list(range(len(lengths))) and len(lengths) > 20
+
+    @pytest.mark.parametrize("end", [["--v", _odd(25)], []], ids=["fixed", "free"])
+    def test_dp_takes_no_step_at_length_zero(self, end):
+        """n = 0 costs nothing, at any k: the DP is not refused for steps it never takes."""
+        res = run("count", "--kind", "diagonal", "--k", "25", "--weights", "0,1",
+                  "--u", _odd(25), *end, "--n", "0", "--method", "dp")
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["count"] == "1"
+
     @pytest.mark.parametrize("args", [
         ("count", "--kind", "axis", "--k", "3", "--weights", "1,1,1", "--u", "1,2,3",
          "--v", "1,2,3", "--n", "400", "--method", "reflection"),
@@ -197,6 +215,13 @@ class TestCompare:
                   "--u", "1", "--grid", "0:6:2")
         assert res.exit_code == 0, res.output
         assert [row["n"] for row in json.loads(res.output)["rows"]] == [2, 4, 6]
+
+    def test_huge_grid_is_walked_until_refused(self, monkeypatch):
+        monkeypatch.setattr(exact, "DEFAULT_STATE_BUDGET", 10)
+        res = run("compare", "--kind", "diagonal", "--k", "1", "--weights", "0,1",
+                  "--u", "1", "--v", "1", "--grid", f"1:{10 ** 18}:1")
+        assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
+        assert "budget" in res.output and "Traceback" not in res.output
 
     def test_negative_grid_exit_2(self):
         res = run("compare", "--kind", "axis", "--k", "1", "--weights", "0,1",
@@ -279,6 +304,29 @@ class TestVerify:
     def test_deterministic_output(self):
         args = ("verify", "--suite", "det,dsin", "--seed", "3")
         assert run(*args).output == run(*args).output
+
+    def test_every_suite_passes_and_serializes_strictly(self):
+        """Every record is JSON as it stands: the report needs no fallback encoder."""
+        for seed in range(25):
+            for name in verify.SUITES:
+                records = verify.run_suite(name, seed)
+                assert verify.suite_passed(records), (name, seed)
+                json.dumps(records, allow_nan=False)
+
+    def test_a_vanishing_mixed_vandermonde_fails_its_record(self, monkeypatch):
+        real = detlab.mixed_vandermonde_det
+
+        def vanishing(u, a):
+            with monkeypatch.context() as patch:
+                patch.setattr(detlab, "det_exact", lambda rows: 0)
+                return real(u, a)
+
+        monkeypatch.setattr(detlab, "mixed_vandermonde_det", vanishing)
+        res = run("verify", "--suite", "det", "--seed", "7")
+        assert res.exit_code == 1 and "Traceback" not in res.output
+        report = json.loads(res.output)
+        assert report["pass"] is False and report["failures"]
+        assert {r["identity"] for r in report["failures"]} == {"mixed-vandermonde-nonzero"}
 
     def test_selberg_suite_runs_no_quadrature(self):
         """The Selberg checks are exact: the process never loads numpy.polynomial."""

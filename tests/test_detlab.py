@@ -1,5 +1,6 @@
 """Determinant identities: exact rational checks, exact asymptotic series, the shift identity."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -37,6 +38,10 @@ class TestDetExact:
         with pytest.raises(ValueError):
             detlab.det_exact([[1, 2, 3], [4, 5, 6]])
 
+    def test_empty_is_one(self):
+        det = detlab.det_exact([])
+        assert det == 1 and isinstance(det, Fraction)
+
     @settings(deadline=None, max_examples=40)
     @given(st.integers(1, 4).flatmap(
         lambda k: st.lists(st.lists(frac, min_size=k, max_size=k),
@@ -51,7 +56,7 @@ class TestDetExact:
             rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)]
                     for _ in range(k)]
             assert detlab._series_det([[[x] for x in row] for row in rows], 0) \
-                == [detlab.det_exact(rows)]
+                == [det_cofactor(rows)]
 
 
 class TestTypeCDeterminant:
@@ -77,6 +82,23 @@ class TestTypeCDeterminant:
     def test_repeated_coordinates_trivial(self):
         rep = detlab.check_typeC_det_identity([Fraction(2), Fraction(2)])
         assert rep.passed and rep.residual == 0
+
+    @pytest.mark.parametrize("half_integer", [False, True])
+    @pytest.mark.parametrize("t", [
+        [Fraction(1, 2), Fraction(3), Fraction(1, 2)],
+        [Fraction(2), Fraction(-2)],
+        [Fraction(5, 3), Fraction(3), Fraction(-5, 3)],
+        [Fraction(-3, 2), Fraction(3, 2), Fraction(-3, 2), Fraction(7)],
+    ])
+    def test_repeated_and_opposite_points(self, t, half_integer):
+        """One product formula holds on repeated points and on t_j = -t_m, for both exponents."""
+        rep = detlab.check_typeC_det_identity(t, half_integer=half_integer)
+        assert rep.passed and rep.residual == 0
+        e = [2 * m - 1 if half_integer else m for m in range(1, len(t) + 1)]
+        lhs = det_cofactor([[x ** p - x ** -p for p in e] for x in t])
+        # a repeated point repeats a row; odd exponents make the rows of t and -t opposite
+        repeated = len({x * x if half_integer else x for x in t}) < len(t)
+        assert (lhs == 0) == repeated
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -132,6 +154,11 @@ class TestMixedVandermonde:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             detlab.mixed_vandermonde_det([Fraction(2), Fraction(1)], 1)
+
+    def test_a_zero_is_returned(self, monkeypatch):
+        # verify records a zero as a failed check; it is not an internal error
+        monkeypatch.setattr(detlab, "det_exact", lambda rows: Fraction(0))
+        assert detlab.mixed_vandermonde_det([Fraction(1), Fraction(2)], 1) == 0
 
 
 def _sin(x):
@@ -245,6 +272,14 @@ class TestSelberg:
             detlab.selberg_check(2, "jacobi", "one")
         with pytest.raises(ValueError):
             detlab.selberg_check(2, "laguerre", "second")
+
+
+def test_report_passes_iff_its_residual_is_zero():
+    assert [f.name for f in dataclasses.fields(detlab.IdentityReport)] \
+        == ["identity", "params", "residual"]
+    for residual, passed in ((Fraction(0), True), (Fraction(-1, 3), False)):
+        rep = detlab.IdentityReport("x", {}, residual)
+        assert rep.passed is passed and rep.to_json()["pass"] is passed
 
 
 def test_report_json_shape():
