@@ -5,9 +5,9 @@ JSON lines, reports as single JSON documents, tables optionally as CSV.
 Exact counts are always serialized as strings so arbitrary precision
 survives the trip through JSON.
 
-Exit codes: 0 success, 1 verification/match failure, 2 usage error
-(including invalid model input), 3 resource-budget refusal of an exact
-route, 4 internal error (one line on stderr, no traceback).
+Exit codes: 0 success, 1 verification/match failure, 2 usage error (including invalid
+model input), 3 resource-budget refusal of an exact route, 4 internal error (one line on
+stderr, no traceback), 141 stdout closed by its reader (nothing on stderr).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -98,6 +99,9 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.exceptions.Abort):
             raise
+        except BrokenPipeError:  # the reader closed stdout: exit 128 + SIGPIPE, as if killed
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # no error at exit
+            sys.exit(141)
         except exact.ResourceBudgetError as err:
             click.echo(str(err), err=True)
             sys.exit(EXIT_RESOURCE)

@@ -1,29 +1,25 @@
 """Exact walk counting.
 
-Three independent exact routes are provided:
+Three independent exact routes: ``count_confined``, dynamic programming over the chamber's
+lattice points (the oracle); ``count_reflection``, a signed sum of unconstrained counts over
+the signed permutations; and ``count_unconstrained``, plain coefficient extraction from S(z)^n.
 
-* ``count_confined``       -- wall-confined dynamic programming over chamber
-                              lattice points (the oracle),
-* ``count_reflection``     -- signed sum of unconstrained counts over the
-                              group of signed permutations,
-* ``count_unconstrained``  -- plain coefficient extraction from S(z)^n.
+Every count uses S = P(A): sum_m [x^m]P(x)^n times the count of atomic walks of length m,
+with [x^m]P(x)^n from one expansion.  For the diagonal kind [z^d]A^m = prod_j C(m, (m + d_j)/2)
+is a closed form, each factor's row over m one ``math.comb`` and then a recurrence.  Both
+reflection routes count axis steps at k <= 2 as diagonal steps in (x_2 - x_1, x_1 + x_2)
+(``_as_diagonal``); the free-endpoint sum is one Pfaffian of one-dimensional counts, over no
+end point.  The axis layer walk (``count_reflection`` at k >= 3, ``count_unconstrained``) and
+the confined DP (which keeps only chamber points, and for one end point only those still in
+its reach) walk the atomic layers once, each point packed into one int so that a step adds
+one int offset, and read only what they need.  A count whose end point is out of reach or
+ruled out by the step parity is 0, never refused (``_reachable``).
 
-Every count uses S = P(A): sum_m [x^m]P(x)^n times the count of atomic
-walks of length m, with [x^m]P(x)^n from one expansion.  For the diagonal
-kind [z^d]A^m = prod_j C(m, (m + d_j)/2) is a closed form; the axis kernel and the
-confined DP (which keeps only chamber points, and for one end point only those still in
-its reach) walk the atomic layers once, each point packed into one int so that a step
-adds one int offset, and read only what they need.  A count whose end point is out of
-reach or ruled out by the step parity is 0, never refused (``_reachable``).
-The free-endpoint sum by reflection is one Pfaffian of one-dimensional counts, over no end point.
-
-Every route estimates its work before it runs and raises
-``ResourceBudgetError`` over ``DEFAULT_STATE_BUDGET`` (``_check_work``).
-
-Every route counts in Python ints: the one entry ``_exact_count`` scales
-rational weights by the lcm D of their denominators and divides the count
-by D^n once.  Confinement is atomic-strict: every intermediate atomic
-position inside a composite step must stay strictly inside the chamber.
+Every route estimates its work before it runs and raises ``ResourceBudgetError`` over
+``DEFAULT_STATE_BUDGET`` (``_check_work``).  Every route counts in Python ints: the one entry
+``_exact_count`` scales rational weights by the lcm D of their denominators and divides the
+count by D^n once.  Confinement is atomic-strict: every intermediate atomic position inside a
+composite step must stay strictly inside the chamber.
 """
 
 from __future__ import annotations
@@ -184,9 +180,16 @@ def _layer_work(spec: CompositeSpec, n: int, start: Sequence[int] | None = None)
 
 
 def _binomial_row(lengths: Sequence[int], d: int) -> tuple[int, ...]:
-    """[z^d](z + 1/z)^m for each m in ``lengths``."""
-    return tuple(math.comb(m, (m + d) // 2) if abs(d) <= m and (m + d) % 2 == 0 else 0
-                 for m in lengths)
+    """[z^d](z + 1/z)^m = C(m, j), j = (m + d)/2, for each m in the increasing ``lengths``: one
+    ``math.comb`` at the first m >= |d| of the parity of d, then, exactly,
+    C(m + 2, j + 1) = C(m, j)(m + 1)(m + 2) / ((j + 1)(m - j + 1))."""
+    # with no such m, the seed C(|d|, .) = 1 sits at a length the row does not read
+    live = [m for m in lengths if m >= abs(d) and (m + d) % 2 == 0] or [abs(d)]
+    row = itertools.accumulate(
+        range(live[0], live[-1], 2), initial=math.comb(live[0], (live[0] + d) // 2),
+        func=lambda b, m: b * (m + 1) * (m + 2) // ((m + d + 2) // 2 * ((m - d + 2) // 2)))
+    values = dict(zip(range(live[0], live[-1] + 1, 2), row))
+    return tuple(values.get(m, 0) for m in lengths)
 
 
 def _signed_sum(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: int,
@@ -228,6 +231,18 @@ def _reachable(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: i
     """v within n*degree steps of u (l1 if axis, l-infinity if diagonal), parity allowing."""
     far = (sum if spec.kind is AtomicKind.AXIS else max)(map(abs, map(operator.sub, v, u)))
     return far <= n * spec.degree and spec.parity_allows(u, v, n)
+
+
+def _as_diagonal(spec: CompositeSpec, *points: tuple[int, ...]) -> tuple:
+    """(spec, *points), axis steps at k <= 2 made diagonal by (x_1, x_2) -> (x_2 - x_1, x_1 + x_2).
+
+    An axis step moves x_1 or x_2 by 1, so the image takes one diagonal step; 0 < x_1 < x_2
+    iff 0 < x_2 - x_1 < x_1 + x_2, so confinement, reach (l1 as l-infinity) and parity are
+    kept.  At k = 1 the two step sets are one."""
+    if spec.kind is not AtomicKind.AXIS or spec.k > 2:
+        return (spec, *points)
+    return (CompositeSpec(AtomicKind.DIAGONAL, spec.k, spec.weights),
+            *(p if spec.k == 1 else (p[1] - p[0], p[0] + p[1]) for p in points))
 
 
 def _exact_count(route: Callable) -> Callable:
@@ -283,13 +298,13 @@ def signed_permutations(k: int) -> Iterator[tuple[tuple[int, ...], int]]:
 
 @_exact_count
 def count_reflection(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int):
-    """Signed sum over signed permutations of the unconstrained counts of ``_signed_sum``.
+    """Signed sum over signed permutations of the unconstrained counts of ``_signed_sum``,
+    axis steps at k <= 2 as the diagonal steps of ``_as_diagonal``.
 
     Within the budget every call sums all k!*2^k terms, the traced benchmark's
     ``exact.signed_sum_terms``; a count ``_reachable`` rules out is 0, never refused.
     """
-    u = check_chamber_point(spec, u)
-    v = check_chamber_point(spec, v)
+    spec, u, v = _as_diagonal(spec, check_chamber_point(spec, u), check_chamber_point(spec, v))
     ops, integers, bits = _term_size(spec, n)
     try:
         _check_work("signed sum work", math.factorial(spec.k) * 2 ** spec.k * ops, integers, bits)
@@ -332,11 +347,7 @@ def _confined_dp(spec: CompositeSpec, u: tuple[int, ...], n: int, points=None) -
 
 @_exact_count
 def count_confined(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int):
-    """Dynamic-programming oracle for confined walk counts.
-
-    Every intermediate atomic position within each composite step is kept
-    strictly inside the chamber.
-    """
+    """Dynamic-programming oracle for confined walk counts; confinement is atomic-strict."""
     u = check_chamber_point(spec, u)
     v = check_chamber_point(spec, v)
     return _confined_dp(spec, u, n, [v]) if _reachable(spec, u, v, n) else 0
@@ -360,12 +371,7 @@ def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
     for odd k (de Bruijn 1955; Stembridge 1990).  For each group of lengths, x walks
     down once from max(u) + max m, above which f vanishes, keeping sum_(y>x) f_j(y).
     """
-    u = check_chamber_point(spec, u)
-    if spec.kind is AtomicKind.AXIS and spec.k <= 2:
-        # an axis step moves x_1 or x_2 by 1, so (x_2 - x_1, x_1 + x_2) takes one diagonal
-        # step, and 0 < x_1 < x_2 iff 0 < x_2 - x_1 < x_1 + x_2; at k = 1, x_1 itself does
-        spec = CompositeSpec(AtomicKind.DIAGONAL, spec.k, spec.weights)
-        u = u if spec.k == 1 else (u[1] - u[0], u[0] + u[1])
+    spec, u = _as_diagonal(spec, check_chamber_point(spec, u))
     k, top, axis = spec.k, n * spec.degree, spec.kind is AtomicKind.AXIS
     # a convolution mixes the lengths, so axis vectors take every m <= top at once;
     # pointwise products keep them apart and take 16 at a time, holding 16 binomial rows

@@ -387,6 +387,25 @@ class TestErrorContract:
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["count"] == "0"
 
+    def test_closed_stdout_exits_141_quietly(self):
+        """A reader that closes the pipe early, as `| head -c 300` does, ends the stream of
+        an endless range with exit 141 (128 + SIGPIPE) and nothing on stderr."""
+        env = dict(os.environ)
+        package_root = str(Path(chamberwalk.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "chamberwalk.cli", "count", "--kind",
+                                 "diagonal", "--k", "1", "--weights", "0,1", "--u", "1", "--v",
+                                 "1", "--n", "1:1000000000000:1", "--method", "reflection"],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(300)
+        proc.stdout.close()
+        try:
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()
+        assert head.startswith(b'{"count": "0"') and proc.stderr.read() == b""
+        proc.stderr.close()
+
     def test_internal_error_exit_4(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("boom")

@@ -2,7 +2,11 @@
 
 The commands are bench operations at seed 1 (reflection, free-endpoint and DP
 counts), four counts at the edge of the work budget (two refused just over
-it, two answered just under it), a preset, a compare grid, a budget refusal,
+it: the axis layer walk at k = 3, whose estimate first exceeds the budget at
+n = 47, where the step parity answers 0, and the lock-step DP; two answered
+just under it), an axis count at k = 1, n = 2236 that the layer walk refused
+and the diagonal steps of the rotated route answer, a preset, a compare grid,
+a budget refusal,
 a DP count whose end point is exactly n*degree steps away, presets at their
 default end points (one at n = 0, where there is no estimate), a star of 18
 walkers, a free axis count at k = 2, n = 400, two signed sums of one
@@ -48,7 +52,9 @@ GOLDEN = [
     ("count --kind diagonal --k 1 --weights 0,1 --u 1 --v 1 --n 4470 --method dp",
      "6b851bc3d59451aba529f9ef5f4f0c1360bda60a28e1d027aa11e47b6d1da2a1"),
     ("count --kind axis --k 1 --weights 1,1 --u 1 --v 1 --n 2236 --method reflection",
-     "9d07bd9a9bf5b6b3f45773b1d165273e5bcf9fa15c6dd18d1520ec43355bf30b"),
+     "8cde991c7d2777784827f6953c5fdc05baa506c9255eb09ad237b51adec1df27"),
+    ("count --kind axis --k 3 --weights 0,1 --u 1,2,3 --v 1,2,3 --n 48 --method reflection",
+     "de7010ba5f185f3ef4f295ceda45bef9ef22bacd28b691a02f2c69410fa2e0cf"),
     ("count --kind axis --k 3 --weights 0,1 --u 1,2,3 --v 1,2,4 --n 77 --method dp",
      "ba4af855a4ae79420d2d4ec9163f51fc9ba38b5303d474b10c50a6ddc9133559"),
     ("preset tangled-isolated --k 2 --n 12",

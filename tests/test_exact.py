@@ -8,7 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chamberwalk import exact
 from chamberwalk.stepmodel import AtomicKind, CompositeSpec, lattice_contains
@@ -390,12 +390,60 @@ def test_axis_signed_sum_holds_only_its_targets():
     assert peak < 2 * 2 ** 20
 
 
+def test_axis_k1_past_the_layer_walk_budget_equals_the_dp():
+    """Weights 1,1 at n = 2236: the layer walk's refusal, now answered as diagonal steps."""
+    spec = CompositeSpec(AtomicKind.AXIS, 1, [1, 1])
+    with mock.patch.object(exact, "_weighted_layers", side_effect=AssertionError):
+        count = exact.count_reflection(spec, (1,), (1,), 2236)
+    assert count == exact.count_confined(spec, (1,), (1,), 2236)
+
+
 def test_deep_axis_reflection():
-    """The axis layer walk takes no recursion per step: n above the default recursion limit."""
+    """n above the default recursion limit: the rotated reflection route, and the axis layer
+    walk of the unconstrained count, which takes no recursion per step."""
     n = 1100
     catalan = math.comb(n, n // 2) // (n // 2 + 1)
     assert exact.count_reflection(RT_1, (1,), (1,), n) \
         == exact.count_reflection(LOCKSTEP_1, (1,), (1,), n) == catalan
+    assert exact.count_unconstrained(RT_1, (1,), (1,), n) == math.comb(n, n // 2)
+
+
+@settings(deadline=None, max_examples=80)
+@given(weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 2), n=st.integers(0, 8),
+       far=st.booleans(), data=st.data())
+def test_axis_reflection_at_k_le_2_runs_as_diagonal_steps(weights, k, n, far, data):
+    """Axis counts at k <= 2 take no layer walk, and equal the DP and the unrotated layer
+    walk over every signed permutation: rational weights, n = 0, and end points that reach
+    (``far``) or the step parity make 0."""
+    spec = _spec(AtomicKind.AXIS, k, weights)
+    u = _chamber_point(data, AtomicKind.AXIS, k)
+    v = _chamber_point(data, AtomicKind.AXIS, k)
+    if far:
+        v = v[:-1] + (max(u[-1], v[-1]) + n * spec.degree + 1,)
+    with mock.patch.object(exact, "_weighted_layers", side_effect=AssertionError):
+        count = exact.count_reflection(spec, u, v, n)
+    assert count == exact.count_confined(spec, u, v, n)
+    scale = math.lcm(*(w.denominator for w in spec.weights))
+    layer_walk = exact._signed_sum(_integer_spec(spec), u, v, n, exact.signed_permutations(k))
+    assert count == Fraction(layer_walk, scale ** n)
+    if far:
+        assert count == 0
+
+
+@settings(deadline=None, max_examples=200)
+@given(first=st.integers(0, 40), step=st.integers(1, 4), size=st.integers(1, 12),
+       d=st.integers(-50, 50))
+@example(first=7, step=1, size=1, d=3)  # a single length
+@example(first=3, step=2, size=5, d=-40)  # |d| > m at every length
+@example(first=4, step=2, size=6, d=1)  # the other parity at every length
+def test_binomial_rows_by_recurrence_equal_math_comb(first, step, size, d):
+    """A row over an arithmetic run of lengths takes at most one ``math.comb``."""
+    lengths = tuple(range(first, first + step * size, step))
+    expected = tuple(math.comb(m, (m + d) // 2) if abs(d) <= m and (m + d) % 2 == 0 else 0
+                     for m in lengths)
+    with mock.patch.object(math, "comb", wraps=math.comb) as comb:
+        assert exact._binomial_row(lengths, d) == expected
+    assert comb.call_count <= 1
 
 
 @settings(deadline=None, max_examples=60)

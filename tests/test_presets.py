@@ -252,17 +252,43 @@ def test_signed_sum_at_the_wall_is_the_watermelon_product_long(name):
     assert exact.count_reflection(inst.spec, inst.u, inst.v, steps) == _watermelon(3, steps)
 
 
+def test_random_turns_at_the_wall_is_the_watermelon_product():
+    """Random turns at k = 2 from the wall (1, 2) back to it: in (x_2 - x_1, x_1 + x_2)
+    the wall is (1, 3), and an axis step is a lock-step one."""
+    inst = presets.preset_spec("random-turns-fixed", 2)
+    assert inst.u == inst.v == (1, 2)
+    for n in [*range(0, 41), 1000, 2001, 8000]:
+        assert exact.count_reflection(inst.spec, inst.u, inst.v, inst.steps(n)) \
+            == _watermelon(2, n), n
+
+
+def test_tangled_isolated_at_the_wall_sums_watermelons():
+    """Tangled diagrams at k = 2, n = 500: sum_m [x^m](1 + x + x^2)^n times the watermelon
+    of m steps, which is 0 for odd m.  The trinomial coefficient is
+    sum_j C(n, j) C(n - j, m - 2j), over the j factors that give x^2."""
+    inst = presets.preset_spec("tangled-isolated", 2)
+    n = 500
+    trinomial = {m: sum(math.comb(n, j) * math.comb(n - j, m - 2 * j) for j in range(m // 2 + 1))
+                 for m in range(0, 2 * n + 1, 2)}
+    # the even coefficients sum to (P(1)^n + P(-1)^n)/2
+    assert trinomial[n - 2] == trinomial[n + 2] and sum(trinomial.values()) == (3 ** n + 1) // 2
+    assert exact.count_reflection(inst.spec, inst.u, inst.v, inst.steps(n)) \
+        == sum(c * _watermelon(2, m) for m, c in trinomial.items())
+
+
 # ---------------------------------------------------------------------------
 # the 1/n term at the wall: delta_n = exact/asym - 1 = c/n + O(1/n^2)
 
-_WALL_COEFFICIENT = {
-    "lock-step-fixed": lambda k: Fraction(-k * (2 * k + 1) * (4 * k - 1), 4),
-    "lock-step-free": lambda k: Fraction(-k * (2 * k * k - 1), 4),
-}
+_C_FIXED = lambda k: Fraction(-k * (2 * k + 1) * (4 * k - 1), 4)  # noqa: E731
+_C_FREE = lambda k: Fraction(-k * (2 * k * k - 1), 4)  # noqa: E731
+# random turns at k <= 2 are lock-step walks in (x_2 - x_1, x_1 + x_2), with its coefficients
+_WALL_COEFFICIENT = {"lock-step-fixed": _C_FIXED, "lock-step-free": _C_FREE,
+                     "random-turns-fixed": _C_FIXED, "random-turns-free": _C_FREE}
+_WALL_CASES = [(k, name) for name in sorted(_WALL_COEFFICIENT)
+               for k in ([1, 2, 3] if name.startswith("lock-step") else [1, 2])]
 
 
-@pytest.mark.parametrize("name", sorted(_WALL_COEFFICIENT))
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k,name", _WALL_CASES)
 def test_inverse_n_coefficient_at_the_wall(name, k):
     """n*delta_n approaches c at every step, and its Richardson value is c to 1e-4."""
     inst = presets.preset_spec(name, k)
