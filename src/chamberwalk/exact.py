@@ -1,19 +1,17 @@
 """Exact walk counting.
 
-Three independent exact routes: ``count_confined``, dynamic programming over the chamber's
-lattice points (the oracle); ``count_reflection``, a signed sum of unconstrained counts over
-the signed permutations; and ``count_unconstrained``, plain coefficient extraction from S(z)^n.
+Two independent exact routes: ``count_confined``, dynamic programming over the chamber's
+lattice points (the oracle), and reflection: ``count_reflection``, a signed sum over the signed
+permutations, and ``count_reflection_free``, one Pfaffian.  ``count_unconstrained``, plain
+coefficient extraction from S(z)^n, is the signed sum's identity term.
 
-Every count uses S = P(A): sum_m [x^m]P(x)^n times the count of atomic walks of length m,
-with [x^m]P(x)^n from one expansion.  For the diagonal kind [z^d]A^m = prod_j C(m, (m + d_j)/2)
-is a closed form, each factor's row over m one ``math.comb`` and then a recurrence.  Both
-reflection routes count axis steps at k <= 2 as diagonal steps in (x_2 - x_1, x_1 + x_2)
-(``_as_diagonal``); the free-endpoint sum is one Pfaffian of one-dimensional counts, over no
-end point.  The axis layer walk (``count_reflection`` at k >= 3, ``count_unconstrained``) and
-the confined DP (which keeps only chamber points, and for one end point only those still in
-its reach) walk the atomic layers once, each point packed into one int so that a step adds
-one int offset, and read only what they need.  A count whose end point is out of reach or
-ruled out by the step parity is 0, never refused (``_reachable``).
+Every count uses S = P(A): sum_m [x^m]P(x)^n times the count of atomic walks of length m, with
+[x^m]P(x)^n from one expansion.  A signed-sum term multiplies one-dimensional rows b(m, d) =
+[z^d](z + 1/z)^m, pointwise for the diagonal kind and by the binomial convolution of
+``_ring_product`` for the axis kind.  Both reflection routes count axis steps at k <= 2 as
+diagonal steps (``_as_diagonal``).  The DP keeps only chamber points, and for one end point
+only those in its reach, each packed into one int.  A count whose end point is out of reach
+or ruled out by the step parity is 0, never refused (``_reachable``).
 
 Every route estimates its work before it runs and raises ``ResourceBudgetError`` over
 ``DEFAULT_STATE_BUDGET`` (``_check_work``).  Every route counts in Python ints: the one entry
@@ -24,6 +22,7 @@ composite step must stay strictly inside the chamber.
 
 from __future__ import annotations
 
+import collections
 import functools
 import inspect
 import itertools
@@ -99,17 +98,16 @@ def _weight_power(weights: tuple, n: int) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(m for m, _ in support), tuple(c for _, c in support)
 
 
-def _weighted_layers(spec: CompositeSpec, n: int, start: tuple[int, ...], confined: bool,
-                     points: Sequence[tuple[int, ...]] | None = None) -> list:
-    """sum_m [x^m]P(x)^n * layer_m at each of ``points``, or of the layer totals without them.
+def _weighted_layers(spec: CompositeSpec, n: int, start: tuple[int, ...],
+                     point: tuple[int, ...] | None = None) -> int:
+    """The confined DP: sum_m [x^m]P(x)^n * layer_m at ``point``, in reach, or in total.
 
-    layer_0 is {start: 1} and layer_(m+1) the atomic steps from layer_m, inside the chamber if
-    ``confined``.  A point x is the int sum_i (x_i + N) << (w*i), N = n*degree, with every
-    coordinate within N steps of ``start`` a digit in [0, 2^w): a step adds one int and no
-    digit carries; a point outside that box reads 0.  Only the values read are weighted.
-    A confined walk read at one point v keeps at layer m only the points v is within L - m
-    steps of, L the last length read: l1 steps for axis steps, l-infinity for diagonal ones.
-    """
+    layer_0 is {start: 1}, layer_(m+1) the atomic steps from layer_m inside the chamber.  A
+    point x is the int sum_i (x_i + N) << (w*i), N = n*degree, each coordinate within N steps
+    of ``start`` a digit in [0, 2^w): a step adds one int, and no digit carries.  Read at
+    ``point``, layer m keeps only the points within L - m steps of it, L the last length read
+    (l1 for axis steps, l-infinity for diagonal ones)."""
+    _check_work("confined DP updates", _layer_work(spec, n, start))
     lengths, coeffs = _weight_power(spec.weights, n)
     top, axis = n * spec.degree, spec.kind is AtomicKind.AXIS
     width = (max(start) + 2 * top + 1).bit_length()
@@ -136,46 +134,36 @@ def _weighted_layers(spec: CompositeSpec, n: int, start: tuple[int, ...], confin
 
     # at n = 0 no step is taken: the 2^k diagonal offsets are not built
     offsets = [pack(d, 0) for d in atomic_displacements(spec)] if lengths[-1] else []
-    keys = [pack(p) if all(abs(x - y) <= top for x, y in zip(p, start)) else None
-            for p in points] if points is not None else None
+    # with no point read, the chamber test alone keeps the free DP fast
     inside, last = chamber, 0
-    # the one point read is the aim; with none, the chamber test alone keeps the free DP fast
-    if keys and len(keys) == 1 and keys[0] is not None:
-        inside, last, aim = near, lengths[-1], [keys[0] >> s & mask for s in shifts]
-    layer, m, total = {pack(start): 1}, 0, [0] * (1 if keys is None else len(keys))
+    if point is not None:
+        inside, last, aim, end = near, lengths[-1], [x + top for x in point], pack(point)
+    layer, m, total = {pack(start): 1}, 0, 0
     for length, c in zip(lengths, coeffs):
         while m < length:
             layer = _convolve(layer, offsets)
             m += 1
-            if confined:
-                layer = {key: mass for key, mass in layer.items() if inside(key, last - m)}
-        read = [sum(layer.values())] if keys is None else [layer.get(key, 0) for key in keys]
-        total = [t + c * x for t, x in zip(total, read)]
+            layer = {key: mass for key, mass in layer.items() if inside(key, last - m)}
+        total += c * (sum(layer.values()) if point is None else layer.get(end, 0))
     return total
 
 
-def _layer_work(spec: CompositeSpec, n: int, start: Sequence[int] | None = None) -> int:
+def _layer_work(spec: CompositeSpec, n: int, start: Sequence[int]) -> int:
     """Dict updates of ``_weighted_layers``: each atomic step moves each point of layers m < N.
 
-    N = n*degree.  Layer m holds at most the points within m steps: the l1
-    ball sum_i 2^i C(k, i) C(m, i) for axis steps, the box (m+1)^k (summed,
-    at most (N+1)^(k+1)) for diagonal ones.  A confined layer from ``start``
-    also holds at most the chamber points with x_k <= b + m, b = max(start):
-    C(b + m, k), or C((b + m + 1)//2, k) for diagonal steps, which keep one
-    parity.  The smaller of the two sums over m <= N is taken, in closed form.
-    A DP read at one end point keeps fewer points, but is charged the same bound.
-    With N = 0 no step is taken, and nothing is charged.
+    N = n*degree.  Layer m holds at most the points within m steps, the l1 ball sum_i 2^i
+    C(k, i) C(m, i) for axis steps or the box (m+1)^k for diagonal ones, and the chamber points
+    with x_k <= b + m, b = max(start): C(b + m, k), or C((b + m + 1)//2, k) for diagonal steps,
+    which keep one parity.  The smaller sum over m <= N is taken in closed form.
     """
     k, top, axis = spec.k, n * spec.degree, spec.kind is AtomicKind.AXIS
     if top == 0:
         return 0
-    work = sum(2 ** i * math.comb(k, i) * math.comb(top + 1, i + 1) for i in range(k + 1)) \
-        if axis else (top + 1) ** (k + 1)
-    if start is not None:
-        # the diagonal sum takes each value of (b + m + 1)//2 at most twice
-        b = max(start)
-        work = min(work, math.comb(b + top + 1, k + 1) if axis
-                   else 2 * math.comb((b + top + 3) // 2, k + 1))
+    # the diagonal sum takes each value of (b + m + 1)//2 at most twice
+    b = max(start)
+    work = min(sum(2 ** i * math.comb(k, i) * math.comb(top + 1, i + 1) for i in range(k + 1)),
+               math.comb(b + top + 1, k + 1)) if axis \
+        else min((top + 1) ** (k + 1), 2 * math.comb((b + top + 3) // 2, k + 1))
     return (2 * k if axis else 2 ** k) * work
 
 
@@ -192,30 +180,37 @@ def _binomial_row(lengths: Sequence[int], d: int) -> tuple[int, ...]:
     return tuple(values.get(m, 0) for m in lengths)
 
 
+def _pascal_rows(lengths: Iterable[int]) -> dict:
+    """C(m, .) for each m of ``lengths``, each row by C(m, j + 1) = C(m, j)(m - j)/(j + 1)."""
+    return {m: list(itertools.accumulate(range(m), lambda c, j: c * (m - j) // (j + 1), initial=1))
+            for m in lengths}
+
+
 def _signed_sum(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: int,
                 signed: Iterable[tuple[tuple, int]]) -> int:
     """sum of sign * [z^(v - image(u))]S^n over the (image map, sign) pairs of ``signed``.
 
-    Every pair is drawn once.  For diagonal steps with one atomic length m, P(x)^n = c*x^m,
-    a term is one product of ints, streamed through C-level iterators with no Python frame.
-    """
+    Every pair is drawn once.  A diagonal term is the product of its k rows at each length of
+    P(x)^n; with one length, P(x)^n = c*x^m, one product of ints, streamed through C-level
+    iterators with no Python frame.  An axis term, 0 unless v - image(u) is within N = n*degree
+    l1 steps, convolves its k rows over m <= N (``_ring_product``, the EGF product of
+    Grabiner-Magyar 1993)."""
+    lengths, coeffs = _weight_power(spec.weights, n)
+    axis, top = spec.kind is AtomicKind.AXIS, n * spec.degree
     # shifts[j][(i, eps)] = v_j - eps*u_i: coordinate j of v - image(u)
     shifts = [{(i, eps): vj - eps * ui for i, ui in enumerate(u) for eps in (1, -1)} for vj in v]
-    if spec.kind is AtomicKind.AXIS:
-        # an atomic walk of m <= n*degree steps moves at most m in l1: no other target is read
-        _check_work("displacement table updates", _layer_work(spec, n))
-        targets, reach = {}, n * spec.degree
-        for image, sign in signed:
-            d = tuple(map(dict.__getitem__, shifts, image))
-            if sum(map(abs, d)) <= reach:
-                targets[d] = targets.get(d, 0) + sign
-        if not targets:
-            return 0
-        values = _weighted_layers(spec, n, (0,) * spec.k, False, list(targets))
-        return sum(map(operator.mul, targets.values(), values))
-    lengths, coeffs = _weight_power(spec.weights, n)
-    # rows[j][(i, eps)] holds [z^(v_j - eps*u_i)](z + 1/z)^m over the lengths m
-    rows = [{key: _binomial_row(lengths, d) for key, d in row.items()} for row in shifts]
+    # a convolution mixes the lengths, so axis rows take every m <= N
+    grid = range(top + 1) if axis else lengths
+    # rows[j][(i, eps)] holds [z^(v_j - eps*u_i)](z + 1/z)^m over the grid's lengths m
+    rows = [{key: _binomial_row(grid, d) for key, d in row.items()} for row in shifts]
+    if axis:
+        # at k = 1 a term is its one row: no product, so no Pascal rows
+        product = functools.partial(_ring_product, _pascal_rows(grid) if spec.k > 1 else None)
+        # [x^m]P(x)^n at every m of the grid, 0 off the lengths
+        dense = list(map(dict(zip(lengths, coeffs)).get, grid, itertools.repeat(0)))
+        return sum(sign * sum(map(operator.mul, dense, functools.reduce(
+            product, map(dict.__getitem__, rows, image)))) for image, sign in signed
+            if sum(map(abs, map(dict.__getitem__, shifts, image))) <= top)
     if len(lengths) > 1:
         return sum(sign * sum(map(math.prod, zip(coeffs, *map(dict.__getitem__, rows, image))))
                    for image, sign in signed)
@@ -277,8 +272,7 @@ def count_unconstrained(spec: CompositeSpec, u: Sequence[int], v: Sequence[int],
             raise ValueError(f"{p} is not on the walk lattice")
     if not _reachable(spec, u, v, n):
         return 0
-    if spec.kind is AtomicKind.DIAGONAL:  # the axis layer walk charges its own work
-        _check_work("diagonal kernel work", *_term_size(spec, n))
+    _check_work(f"{spec.kind.value} kernel work", *_term_size(spec, u, v, n, 1))
     return _signed_sum(spec, u, v, n, [(tuple((j, 1) for j in range(spec.k)), 1)])
 
 
@@ -298,16 +292,13 @@ def signed_permutations(k: int) -> Iterator[tuple[tuple[int, ...], int]]:
 
 @_exact_count
 def count_reflection(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int):
-    """Signed sum over signed permutations of the unconstrained counts of ``_signed_sum``,
-    axis steps at k <= 2 as the diagonal steps of ``_as_diagonal``.
-
-    Within the budget every call sums all k!*2^k terms, the traced benchmark's
-    ``exact.signed_sum_terms``; a count ``_reachable`` rules out is 0, never refused.
-    """
+    """``_signed_sum`` over all k!*2^k signed permutations within the budget (the traced
+    benchmark's ``exact.signed_sum_terms``), axis steps at k <= 2 as ``_as_diagonal`` makes
+    them diagonal; a count ``_reachable`` rules out is 0, never refused."""
     spec, u, v = _as_diagonal(spec, check_chamber_point(spec, u), check_chamber_point(spec, v))
-    ops, integers, bits = _term_size(spec, n)
     try:
-        _check_work("signed sum work", math.factorial(spec.k) * 2 ** spec.k * ops, integers, bits)
+        _check_work("signed sum work",
+                    *_term_size(spec, u, v, n, math.factorial(spec.k) * 2 ** spec.k))
         return _signed_sum(spec, u, v, n, signed_permutations(spec.k))
     except ResourceBudgetError:
         if _reachable(spec, u, v, n):
@@ -315,34 +306,54 @@ def count_reflection(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n:
         return 0
 
 
-def _term_size(spec: CompositeSpec, n: int) -> tuple[int, int, int]:
-    """Operations of one kernel term, and the integers the kernel holds with their bits.
-
-    An axis term is one value per layer.  A diagonal term sums a product over
-    the L atomic lengths of P(x)^n, from L coefficients and 2k^2 binomial
-    rows.  Weights are >= 0, so the lengths are the n-fold sums of the
-    weighted lengths: they lie in n*a + g*N up to n*degree, with a the least
-    weighted length and g the gcd of the differences.  The weights are the
-    integers ``_exact_count`` passes, so [x^m]P(x)^n <= P(1)^n and
-    C(m, j) <= 2^(n*degree): a coefficient times k binomials has at most
-    n*log2(P(1)) + k*n*degree bits.  None of this expands P(x)^n.
-    """
-    if spec.kind is AtomicKind.AXIS:
-        return 1, 0, 0
+def _length_count(spec: CompositeSpec, n: int) -> int:
+    """A bound on the lengths of P(x)^n, unexpanded: the n-fold sums of the weighted lengths lie
+    in n*a + g*N up to n*degree, a the least weighted length, g the gcd of the differences."""
     weighted = [m for m, w in enumerate(spec.weights) if w]
     g = math.gcd(*(m - weighted[0] for m in weighted))
-    lengths = n * (spec.degree - weighted[0]) // g + 1 if g else 1
-    bits = math.ceil(n * math.log2(sum(spec.weights)) + spec.k * n * spec.degree)
-    return lengths, (2 * spec.k ** 2 + 1) * lengths, bits
+    return n * (spec.degree - weighted[0]) // g + 1 if g else 1
 
 
-def _confined_dp(spec: CompositeSpec, u: tuple[int, ...], n: int, points=None) -> int:
-    """``_weighted_layers`` in the chamber from u, at the one point of ``points`` or in total.
+def _term_size(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: int,
+               terms: int) -> tuple[int, int, int]:
+    """(ops, integers, bits) for ``_check_work``: ``terms`` kernel terms from images of u to v.
 
-    Confinement is atomic-strict; cut into n composite steps, m atomic steps weigh [x^m]P(x)^n.
+    A diagonal term dots its counts at the L lengths of ``_length_count``; the kernel holds L
+    coefficients and 2k^2 rows over them, of n*log2(P(1)) + k*N bits at most, N = n*degree
+    ([x^m]P(x)^n <= P(1)^n, C(m, j) <= 2^N).  With one length each row is one math.comb(N, .),
+    charged (N/64 + 1)^2/8 as its time grows, about N^1.8.  An axis term sums its k shifts and,
+    in reach (``_reachable_images``), dots N + 1 counts and makes k - 1 convolutions: 10 to
+    call, 2 a length and 1 a pair past the leading zeros, t(t + 1)/2 for the p-th, t = N + 1 -
+    sum_(j <= p) min_(i, eps) |v_j - eps*u_i|, per 4096 bits.  Its counts, 2k^2 + 1 rows and
+    Pascal rows C(m, .), m <= N, are at most (2k)^N: k*N bits.
     """
-    _check_work("confined DP updates", _layer_work(spec, n, u))
-    return _weighted_layers(spec, n, u, True, points)[0]
+    k, top = spec.k, n * spec.degree
+    if spec.kind is AtomicKind.DIAGONAL:
+        lengths = _length_count(spec, n)
+        combs = 2 * k * k * (top // 64 + 1) ** 2 // 8 if lengths == 1 else 0
+        bits = math.ceil(n * math.log2(sum(spec.weights)) + k * top)
+        return terms * lengths + combs, (2 * k * k + 1) * lengths, bits
+    ops = terms * k
+    lows = itertools.accumulate(min(abs(vj - eps * ui) for ui in u for eps in (1, -1)) for vj in v)
+    pairs = sum(t * (t + 1) // 2 for t in (max(0, top + 1 - low) for low in list(lows)[1:]))
+    # one term is in reach (``_reachable``); a count already over the budget counts none
+    reachable = min(terms, _reachable_images(u, v, top)) \
+        if 1 < terms and ops <= DEFAULT_STATE_BUDGET else terms
+    ops += reachable * (top + 1 + (k - 1) * (2 * top + 12) + pairs) * (k * top // 4096 + 1)
+    return ops, (2 * k * k + 1) * (top + 1) + (k > 1) * (top + 1) * (top + 2) // 2, k * top
+
+
+def _reachable_images(u: tuple[int, ...], v: tuple[int, ...], top: int) -> int:
+    """The signed permutations with sum_j |v_j - eps_j*u_sigma(j)| <= top, by sources placed."""
+    ways = collections.Counter({(0, 0): 1})
+    for vj in v:
+        placed = collections.Counter()
+        for ((sources, spent), count), (i, ui), eps in itertools.product(
+                ways.items(), enumerate(u), (1, -1)):
+            if not sources >> i & 1 and (cost := spent + abs(vj - eps * ui)) <= top:
+                placed[sources | 1 << i, cost] += count
+        ways = placed
+    return sum(ways.values())
 
 
 @_exact_count
@@ -350,13 +361,13 @@ def count_confined(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: i
     """Dynamic-programming oracle for confined walk counts; confinement is atomic-strict."""
     u = check_chamber_point(spec, u)
     v = check_chamber_point(spec, v)
-    return _confined_dp(spec, u, n, [v]) if _reachable(spec, u, v, n) else 0
+    return _weighted_layers(spec, n, u, v) if _reachable(spec, u, v, n) else 0
 
 
 @_exact_count
 def count_confined_free(spec: CompositeSpec, u: Sequence[int], n: int):
     """Total confined count over all endpoints: the DP frontier mass after n steps."""
-    return _confined_dp(spec, check_chamber_point(spec, u), n)
+    return _weighted_layers(spec, n, check_chamber_point(spec, u))
 
 
 @_exact_count
@@ -375,7 +386,7 @@ def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
     k, top, axis = spec.k, n * spec.degree, spec.kind is AtomicKind.AXIS
     # a convolution mixes the lengths, so axis vectors take every m <= top at once;
     # pointwise products keep them apart and take 16 at a time, holding 16 binomial rows
-    box, size = max(u) + top, top + 1 if axis else _term_size(spec, n)[0]
+    box, size = max(u) + top, top + 1 if axis else _length_count(spec, n)
     chunk = size if axis else 16
     # work: k(k-1) ring products per x, and for the Pfaffian of order K one product per
     # entry of each minor of order K - 2d > 2 it expands, C(K - d, d) of them, each of size
@@ -392,8 +403,7 @@ def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
     confined, every = {}, range(top + 1) if axis else lengths
     for start in range(0, len(every), chunk):
         grid = every[start:start + chunk]
-        binomials = {m: list(itertools.accumulate(range(m), lambda c, j: c * (m - j) // (j + 1),
-                                                  initial=1)) for m in grid}
+        binomials = _pascal_rows(grid)
         b = {m: {2 * j - m: c for j, c in enumerate(row)} for m, row in binomials.items()}
         product = functools.partial(_ring_product, binomials if axis else None)
         entries = {(i, j): [0] * len(grid) for i in range(k) for j in range(i + 1, k)}

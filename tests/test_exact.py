@@ -342,8 +342,8 @@ def test_rational_weights_count_in_ints(kind, k, weights):
 def test_layers_weigh_only_the_values_read(v):
     """Each weighted length multiplies its coefficient into the values a count reads, no more.
 
-    The DP and the unconstrained count read one value per layer; the axis
-    signed sum at k=2 reads at most its 8 targets, and none out of reach.
+    The DP and the unconstrained count read one value per length; the signed
+    sum at k=2, rotated to diagonal steps, one for each of its 8 terms.
     """
     spec = _spec(AtomicKind.AXIS, 2, "1/1000003,1,1")
     u, n = (1, 2), 12
@@ -377,7 +377,8 @@ def test_layers_weigh_only_the_values_read(v):
 
 
 def test_axis_signed_sum_holds_only_its_targets():
-    """The axis signed sum keeps the reachable targets, not the k!*2^k images of u."""
+    """The axis signed sum holds its 2k^2 rows and the Pascal rows, draws the k!*2^k images
+    of u one at a time, and convolves only those in reach."""
     spec = CompositeSpec(AtomicKind.AXIS, 6, [0, 1])
     point = tuple(range(1, 7))
     tracemalloc.start()
@@ -391,7 +392,8 @@ def test_axis_signed_sum_holds_only_its_targets():
 
 
 def test_axis_k1_past_the_layer_walk_budget_equals_the_dp():
-    """Weights 1,1 at n = 2236: the layer walk's refusal, now answered as diagonal steps."""
+    """Weights 1,1 at n = 2236, refused by the axis layer walk of earlier versions: answered
+    as diagonal steps."""
     spec = CompositeSpec(AtomicKind.AXIS, 1, [1, 1])
     with mock.patch.object(exact, "_weighted_layers", side_effect=AssertionError):
         count = exact.count_reflection(spec, (1,), (1,), 2236)
@@ -399,22 +401,26 @@ def test_axis_k1_past_the_layer_walk_budget_equals_the_dp():
 
 
 def test_deep_axis_reflection():
-    """n above the default recursion limit: the rotated reflection route, and the axis layer
-    walk of the unconstrained count, which takes no recursion per step."""
+    """n above the default recursion limit: the rotated reflection route, and the unconstrained
+    count's one row, which takes no recursion per step and, with no product, no Pascal rows."""
     n = 1100
     catalan = math.comb(n, n // 2) // (n // 2 + 1)
     assert exact.count_reflection(RT_1, (1,), (1,), n) \
         == exact.count_reflection(LOCKSTEP_1, (1,), (1,), n) == catalan
-    assert exact.count_unconstrained(RT_1, (1,), (1,), n) == math.comb(n, n // 2)
+    with mock.patch.object(exact, "_pascal_rows", side_effect=AssertionError):
+        assert exact.count_unconstrained(RT_1, (1,), (1,), n) == math.comb(n, n // 2)
+    # one term, its n + 1 counts dotted; 2k^2 + 1 = 3 rows of n + 1 entries of n bits, and no
+    # Pascal row
+    assert exact._term_size(RT_1, (1,), (1,), n, 1) == (n + 2, 3 * (n + 1), n)
 
 
 @settings(deadline=None, max_examples=80)
 @given(weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 2), n=st.integers(0, 8),
        far=st.booleans(), data=st.data())
 def test_axis_reflection_at_k_le_2_runs_as_diagonal_steps(weights, k, n, far, data):
-    """Axis counts at k <= 2 take no layer walk, and equal the DP and the unrotated layer
-    walk over every signed permutation: rational weights, n = 0, and end points that reach
-    (``far``) or the step parity make 0."""
+    """Axis counts at k <= 2 take no layer walk, and equal the DP and the unrotated axis
+    signed sum (convolved rows) over every signed permutation: rational weights, n = 0, and
+    end points that reach (``far``) or the step parity make 0."""
     spec = _spec(AtomicKind.AXIS, k, weights)
     u = _chamber_point(data, AtomicKind.AXIS, k)
     v = _chamber_point(data, AtomicKind.AXIS, k)
@@ -424,10 +430,46 @@ def test_axis_reflection_at_k_le_2_runs_as_diagonal_steps(weights, k, n, far, da
         count = exact.count_reflection(spec, u, v, n)
     assert count == exact.count_confined(spec, u, v, n)
     scale = math.lcm(*(w.denominator for w in spec.weights))
-    layer_walk = exact._signed_sum(_integer_spec(spec), u, v, n, exact.signed_permutations(k))
-    assert count == Fraction(layer_walk, scale ** n)
+    convolved = exact._signed_sum(_integer_spec(spec), u, v, n, exact.signed_permutations(k))
+    assert count == Fraction(convolved, scale ** n)
     if far:
         assert count == 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(3, 4), n=st.integers(0, 5),
+       far=st.booleans(), data=st.data())
+@example(weights="1/2,1/3", k=3, n=0, far=False, data=None)
+def test_axis_signed_sum_at_k_ge_3_matches_dp_and_convolution(weights, k, n, far, data):
+    """The convolved rows at k = 3, 4 take no layer walk, and equal the DP and the composite
+    convolution: rational weights, n = 0, and end points that reach (``far``) or the step
+    parity make 0."""
+    spec = _spec(AtomicKind.AXIS, k, weights)
+    if data is None:
+        u = v = tuple(range(1, k + 1))
+    else:
+        u = _chamber_point(data, AtomicKind.AXIS, k)
+        v = _chamber_point(data, AtomicKind.AXIS, k)
+    if far:
+        v = v[:-1] + (max(u[-1], v[-1]) + n * spec.degree + 1,)
+    with mock.patch.object(exact, "_weighted_layers", side_effect=AssertionError):
+        count = exact.count_reflection(spec, u, v, n)
+        unconstrained = exact.count_unconstrained(spec, u, v, n)
+    assert count == exact.count_confined(spec, u, v, n)
+    delta = tuple(b - a for a, b in zip(u, v))
+    assert unconstrained == _composite_convolution(spec, n).get(delta, 0)
+    if far or not spec.parity_allows(u, v, n):
+        assert count == unconstrained == 0
+
+
+def test_axis_signed_sum_at_the_dp_edge():
+    """Random turns at k = 3 at n = 77, the last length the DP answers from (1, 2, 3) to
+    (1, 2, 4): the convolved rows equal it."""
+    spec = CompositeSpec(AtomicKind.AXIS, 3, [0, 1])
+    count = exact.count_confined(spec, (1, 2, 3), (1, 2, 4), 77)
+    assert count > 0 and exact.count_reflection(spec, (1, 2, 3), (1, 2, 4), 77) == count
+    with pytest.raises(exact.ResourceBudgetError):
+        exact.count_confined(spec, (1, 2, 3), (1, 2, 4), 79)
 
 
 @settings(deadline=None, max_examples=200)
@@ -516,12 +558,12 @@ def test_endpoint_filter(kind, k, weights, u):
     for n in range(6):
         points = [v for v in itertools.combinations(range(1, max(u) + n * spec.degree + 2), k)
                   if lattice_contains(spec, v)]
-        frontier = dict(zip(points, exact._weighted_layers(spec, n, u, True, points)))
+        frontier = _composite_dp(spec, u, n)
         rejected = []
         for v in points:
             if not spec.parity_allows(u, v, n):
-                assert frontier[v] == 0
-                with mock.patch.object(exact, "_confined_dp", side_effect=AssertionError):
+                assert frontier.get(v, 0) == 0
+                with mock.patch.object(exact, "_weighted_layers", side_effect=AssertionError):
                     assert exact.count_confined(spec, u, v, n) == 0
                 with mock.patch.object(exact, "_signed_sum", side_effect=AssertionError):
                     assert exact.count_unconstrained(spec, u, v, n) == 0
@@ -607,10 +649,10 @@ _LONG_LOCKSTEP = CompositeSpec(AtomicKind.DIAGONAL, 1, [0, 1])
 
 
 @pytest.mark.parametrize("what,count", [
-    ("displacement table updates",
+    ("signed sum work",
      lambda: exact.count_reflection(CompositeSpec(AtomicKind.AXIS, 3, [1, 1, 1]),
                                     (1, 2, 3), (1, 2, 3), 400)),
-    ("displacement table updates",
+    ("axis kernel work",
      lambda: exact.count_unconstrained(CompositeSpec(AtomicKind.AXIS, 3, [1, 1, 1]),
                                        (1, 2, 3), (1, 2, 3), 400)),
     ("free-endpoint Pfaffian work",
@@ -662,12 +704,16 @@ def test_signed_sum_cost_bounds_the_lengths_without_expanding(weights, n):
     spec = CompositeSpec(AtomicKind.DIAGONAL, 2, weights)
     ints = _integer_spec(spec)
     lengths = len(exact._weight_power(ints.weights, n)[0])
-    bound, integers, bits = exact._term_size(ints, n)
-    assert bound >= lengths and integers == 9 * bound
-    # 8 signed-sum terms, each over every length, plus the kernel's words
-    work = 8 * bound + integers * (bits // 64 + 1)
+    bound = exact._length_count(ints, n)
     # an end point the step parity allows: any other is answered 0, not priced
     v = (1, 3) if spec.parity_allows((1, 3), (1, 3), n) else (2, 4)
+    ops, integers, bits = exact._term_size(ints, (1, 3), v, n, 8)
+    assert bound >= lengths and integers == 9 * bound
+    # 8 signed-sum terms, each over every length; with one length, 8 rows of one math.comb
+    combs = (n * spec.degree // 64 + 1) ** 2 if bound == 1 else 0
+    assert ops == 8 * bound + combs
+    # plus the kernel's words
+    work = ops + integers * (bits // 64 + 1)
     assert _estimate(lambda: exact.count_reflection(spec, (1, 3), v, n)) == work
     weighted = [m for m, w in enumerate(spec.weights) if w]
     if len({b - a for a, b in zip(weighted, weighted[1:])}) <= 1:
@@ -679,12 +725,25 @@ def test_signed_sum_cost_bounds_the_lengths_without_expanding(weights, n):
 def test_kernel_words_weigh_the_bit_size(n, over):
     """The diagonal kernel's work charges its integers, in 64-bit words."""
     spec = CompositeSpec(AtomicKind.DIAGONAL, 2, [0, 1, 1])
-    # (2k^2 + 1)*L integers of n*log2(P(1)) + k*n*degree bits
-    assert exact._term_size(spec, n) == (n + 1, 9 * (n + 1), 5 * n)
+    # (2k^2 + 1)*L integers of n*log2(P(1)) + k*n*degree bits; L = n + 1 lengths, so no
+    # math.comb is charged
+    assert exact._term_size(spec, (1, 3), (1, 3), n, 8) == (8 * (n + 1), 9 * (n + 1), 5 * n)
     words = 9 * (n + 1) * ((5 * n) // 64 + 1)
     work = _estimate(lambda: exact.count_reflection(spec, (1, 3), (1, 3), n))
     assert work == 8 * (n + 1) + words
     assert _estimate(lambda: exact.count_unconstrained(spec, (1, 3), (1, 3), n)) == n + 1 + words
+    assert (work > exact.DEFAULT_STATE_BUDGET) is over
+
+
+@pytest.mark.parametrize("n,over", [(50000, False), (201790, False), (201792, True),
+                                    (400000, True)])
+def test_one_length_rows_charge_their_math_comb(n, over):
+    """Random turns at k = 2 run as lock-step steps with the one atomic length n: each of the
+    8 rows is one math.comb(n, .), whose time grows as about n^1.8, charged (n/64 + 1)^2/8."""
+    spec = CompositeSpec(AtomicKind.AXIS, 2, [0, 1])
+    # 8 terms of one length, 8 math.comb, and 9 integers of 2n bits
+    work = _estimate(lambda: exact.count_reflection(spec, (1, 2), (1, 2), n))
+    assert work == 8 + (n // 64 + 1) ** 2 + 9 * (2 * n // 64 + 1)
     assert (work > exact.DEFAULT_STATE_BUDGET) is over
 
 
@@ -785,28 +844,67 @@ LAYER_WORK_SLACK = 32
        weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 3), n=st.integers(0, 10),
        data=st.data())
 def test_layer_work_bounds_the_updates(kind, weights, k, n, data):
-    """counted <= estimate <= C*(counted + 1) for the axis kernel and the DP, which charge it."""
+    """counted <= estimate <= C*(counted + 1) for the DP, the one route that charges it."""
     spec = _spec(kind, k, weights)
     u = _chamber_point(data, kind, k)
-    routes = [(lambda: exact.count_confined_free(spec, u, n), exact._layer_work(spec, n, u))]
-    if kind is AtomicKind.AXIS:
-        # an end point the step parity allows: any other is answered 0, not priced
-        v = u if spec.parity_allows(u, u, n) else u[:-1] + (u[-1] + 1,)
-        routes.append((lambda: exact.count_unconstrained(spec, u, v, n),
-                       exact._layer_work(spec, n)))
-    for route, estimate in routes:
-        assert _estimate(route) == estimate
-        counted = _dict_updates(route)
-        assert counted <= estimate <= LAYER_WORK_SLACK * (counted + 1)
+    route = lambda: exact.count_confined_free(spec, u, n)  # noqa: E731
+    estimate = exact._layer_work(spec, n, u)
+    assert _estimate(route) == estimate
+    counted = _dict_updates(route)
+    assert counted <= estimate <= LAYER_WORK_SLACK * (counted + 1)
+
+
+def _leading_zeros(vector):
+    return next((j for j, c in enumerate(vector) if c), len(vector))
+
+
+# the largest estimate/counted ratio seen over WEIGHT_LISTS, k = 3, 4 and n <= 6 is about 2.2
+AXIS_WORK_SLACK = 8
+
+
+@settings(deadline=None, max_examples=80)
+@given(weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(3, 4), n=st.integers(0, 6),
+       data=st.data())
+def test_axis_work_bounds_the_convolutions(weights, k, n, data):
+    """counted <= estimate <= C*(counted + 1) for the axis signed sum at k >= 3 and for its
+    identity term, the unconstrained count.
+
+    counted is the work the kernel must do: k units to draw each term and sum its shifts;
+    per term in reach, one per length m <= n*degree to dot its counts, and for each binomial
+    convolution 10 to call, 2 per length and one per pair past the leading zeros of both
+    factors; one per entry of the 2k^2 rows, of the terms' counts, and of the Pascal rows.
+    At these lengths no integer has over 4096 bits, so a pair is a unit.
+    """
+    spec = _spec(AtomicKind.AXIS, k, weights)
+    ints = _integer_spec(spec)
+    u = _chamber_point(data, AtomicKind.AXIS, k)
+    v = _chamber_point(data, AtomicKind.AXIS, k)
+    top = n * spec.degree
+    routes = [(lambda: exact.count_reflection(spec, u, v, n), math.factorial(k) * 2 ** k)]
+    if exact._reachable(spec, u, v, n):  # else answered 0, not priced
+        routes.append((lambda: exact.count_unconstrained(spec, u, v, n), 1))
+    for route, terms in routes:
+        convolutions = []
+
+        def counting(binomials, a, b):
+            t = max(0, len(a) - _leading_zeros(a) - _leading_zeros(b))
+            convolutions.append(10 + 2 * len(a) + t * (t + 1) // 2)
+            return ring_product(binomials, a, b)
+
+        ring_product = exact._ring_product
+        with mock.patch.object(exact, "_ring_product", counting):
+            route()
+        made = len(convolutions) // (k - 1)
+        counted = terms * k + made * (top + 1) + sum(convolutions) \
+            + (2 * k * k + 1) * (top + 1) + (top + 1) * (top + 2) // 2
+        ops, integers, bits = exact._term_size(ints, u, v, n, terms)
+        estimate = ops + integers * (bits // 64 + 1)
+        assert counted <= estimate <= AXIS_WORK_SLACK * (counted + 1), (terms, made)
 
 
 # the largest estimate/counted ratio seen over both kinds, WEIGHT_LISTS, k <= 8
 # (k <= 3 for axis steps) and n <= 8 is about 3
 FREE_WORK_SLACK = 8
-
-
-def _leading_zeros(vector):
-    return next((j for j, c in enumerate(vector) if c), len(vector))
 
 
 @settings(deadline=None, max_examples=80)
