@@ -8,10 +8,11 @@ coefficient extraction from S(z)^n, is the signed sum's identity term.
 Every count uses S = P(A): sum_m [x^m]P(x)^n times the count of atomic walks of length m, with
 [x^m]P(x)^n from one expansion.  A signed-sum term multiplies one-dimensional rows b(m, d) =
 [z^d](z + 1/z)^m, pointwise for the diagonal kind and by the binomial convolution of
-``_ring_product`` for the axis kind.  Both reflection routes count axis steps at k <= 2 as
-diagonal steps (``_as_diagonal``).  The DP keeps only chamber points, and for one end point
-only those in its reach, each packed into one int.  A count whose end point is out of reach
-or ruled out by the step parity is 0, never refused (``_reachable``).
+``_ring_product`` for the axis kind; a Pfaffian entry is a finite window of such products.
+Both reflection routes count axis steps at k <= 2 as diagonal steps (``_as_diagonal``).  The
+DP keeps only chamber points, and for one end point only those in its reach, each packed into
+one int.  A count whose end point is out of reach or ruled out by the step parity is 0, never
+refused (``_reachable``).
 
 Every route estimates its work before it runs and raises ``ResourceBudgetError`` over
 ``DEFAULT_STATE_BUDGET`` (``_check_work``).  Every route counts in Python ints: the one entry
@@ -374,48 +375,60 @@ def count_confined_free(spec: CompositeSpec, u: Sequence[int], n: int):
 def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
     """Free-endpoint total: de Bruijn's Pfaffian of the reflected one-dimensional counts.
 
-    f_i(x)[m] = b(m, x - u_i) - b(m, x + u_i), b(m, d) = [z^d](z + 1/z)^m, counts the
-    walks of m atomic steps from u_i to x above 0.  The confined count to v is
-    det[f_i(v_j)] under a product of length vectors: pointwise for diagonal steps, a
-    binomial convolution for axis steps.  Summed over 0 < v_1 < ... < v_k it is the
-    Pfaffian of a_ij = sum_(x<y) f_i(x) f_j(y) - f_j(x) f_i(y), bordered by sum_x f_i(x)
-    for odd k (de Bruijn 1955; Stembridge 1990).  For each group of lengths, x walks
-    down once from max(u) + max m, above which f vanishes, keeping sum_(y>x) f_j(y).
+    f_i(x) = r(x - u_i) - r(x + u_i), r(d)[m] = [z^d](z + 1/z)^m, counts the walks of m atomic
+    steps from u_i to x above 0; det[f_i(v_j)], its products pointwise for diagonal steps and
+    binomial convolutions for axis steps, those to v.  Summed over the chamber it is the
+    Pfaffian of a_ij = sum_(x>0) f_i(x) t_j(x) - f_j(x) t_i(x), t_j(x) = sum_(y>x) f_j(y),
+    bordered by t_i(0) for odd k (de Bruijn 1955; Stembridge 1990).  As f is odd, r even and
+    the product commutative, 2a_ij = S_ij - S_ji, S_ij = sum_x sgn(x) r(x - u_i) (t_j(x) +
+    t_j(-x)), and each of its products r(x - u_i) r(x +- e), -u_j < e <= u_j, is symmetric
+    about x = (u_i -+ e)/2: its signed sum is its sum over 0 < x <= u_i -+ e, or minus that
+    over u_i -+ e <= x < 0.  So S_ij is a window, min(0, u_i - u_j) <= x <= u_i + u_j and
+    |x - u_i| <= N = n*degree, of products with prefix sums of rows on x's side of u_i, and
+    reads no row past |d| = min(N, max(u)).
     """
     spec, u = _as_diagonal(spec, check_chamber_point(spec, u))
     k, top, axis = spec.k, n * spec.degree, spec.kind is AtomicKind.AXIS
-    # a convolution mixes the lengths, so axis vectors take every m <= top at once;
-    # pointwise products keep them apart and take 16 at a time, holding 16 binomial rows
-    box, size = max(u) + top, top + 1 if axis else _length_count(spec, n)
-    chunk = size if axis else 16
-    # work: k(k-1) ring products per x, and for the Pfaffian of order K one product per
-    # entry of each minor of order K - 2d > 2 it expands, C(K - d, d) of them, each of size
-    # scalar products pointwise or t(t+1)/2 as a convolution, t <= size and
-    # t <= top + 2max(u) - 2x past the leading zeros at x, each costing its words, as do the
-    # rows held; each entry of f_i(x) and rows, a unit per 4096 bits
-    order = k + k % 2
+    # a convolution mixes the lengths, so axis vectors take every m <= N
+    reach, order, size = min(top, max(u)), k + k % 2, top + 1 if axis else _length_count(spec, n)
+    windows = {(ui, uj): range(max(min(0, ui - uj), ui - top), min(ui + uj, ui + top) + 1)
+               for ui in u for uj in u if ui != uj}
+
+    def cost(a, b):  # a ring product of a- by b-bit integers (README): 2, then its pairs
+        return 2 + (size * (size + 1) // 2 * (a + b + 2048) // 4096 if axis
+                    else size * (a * b // 2 ** 20 + 1))
+    # work: the windows' products of N-bit rows; the Pfaffian's, one per entry of its C(K - d, d)
+    # minors of order K - 2d > 2, a 2N-bit entry by a minor of at most (K - 2)N bits; each entry
+    # held, per 4096 bits; at one length each row's math.comb, as in ``_term_size``
     pfaffian = sum(math.comb(order - d, d) * (order - 2 * d - 1) for d in range(order // 2 - 1))
-    products = (k * (k - 1) * (max(u) - 1) + pfaffian) * size * (size + 1) // 2 \
-        + k * (k - 1) * (size + 2) ** 3 // 12 if axis else (box * k * (k - 1) + pfaffian) * size
-    _check_work("free-endpoint Pfaffian work", (box * k * size + size * (2 * top + 3 - size) // 2)
-                * (top // 4096 + 1), products + min(size, chunk) * (top + 1), top)
+    _check_work("free-endpoint Pfaffian work", sum(len(w) - (0 in w) for w in windows.values())
+                * cost(top, top) + pfaffian * cost(2 * top, max(2, order - 2) * top)
+                + ((5 * reach + 7) * size + axis * size * (size + 1) // 2) * (top // 4096 + 1)
+                + (size == 1) * (reach + 1) * (top // 64 + 1) ** 2 // 8)
     lengths, coeffs = _weight_power(spec.weights, n)
-    confined, every = {}, range(top + 1) if axis else lengths
-    for start in range(0, len(every), chunk):
-        grid = every[start:start + chunk]
-        binomials = _pascal_rows(grid)
-        b = {m: {2 * j - m: c for j, c in enumerate(row)} for m, row in binomials.items()}
-        product = functools.partial(_ring_product, binomials if axis else None)
-        entries = {(i, j): [0] * len(grid) for i in range(k) for j in range(i + 1, k)}
-        tails = [[0] * len(grid)] * k
-        for x in range(max(u) + grid[-1], 0, -1):
-            f = [[b[m].get(x - ui, 0) - b[m].get(x + ui, 0) for m in grid] for ui in u]
-            for i, j in entries:
-                entries[i, j] = list(map(lambda a, p, q: a + p - q, entries[i, j],
-                                         product(f[i], tails[j]), product(f[j], tails[i])))
-            tails = [list(map(operator.add, t, fi)) for t, fi in zip(tails, f)]
-        entries.update({(i, k): tails[i] for i in range(k) if k % 2})
-        confined.update(zip(grid, _pfaffian(order, entries, product)))
+    grid = range(top + 1) if axis else lengths
+    rows = [_binomial_row(grid, d) for d in range(reach + 1)] + [[0] * len(grid)]
+    # prefix[d + reach + 1] sums r(d') over d' <= d, rows[reach + 1] = 0; doubled adds the one below
+    prefix = list(itertools.accumulate((rows[abs(d)] for d in range(-reach, reach + 2)),
+                                       lambda s, r: [a + b for a, b in zip(s, r)],
+                                       initial=rows[-1]))
+    doubled = [[a + b for a, b in zip(s, r)] for s, r in zip(prefix, [rows[-1]] + prefix)]
+    product = functools.partial(_ring_product, _pascal_rows(grid) if axis else None)
+
+    def at(table, d):  # no row past |d| = reach is read, or it is 0
+        return table[min(max(d, -reach - 1), reach + 1) + reach + 1]
+
+    def signed(ui, uj):  # S_ij: r(x - u_i) by its rows r(d), d <= u_i for x > 0, minus d >= u_i
+        wall, below = ([2 * c for c in at(prefix, d)] for d in (ui, ui - 1))
+        return map(sum, zip(*[product(rows[abs(x - ui)], list(map(operator.sub, *(
+            (at(doubled, x + uj) if x + uj <= ui else wall, at(doubled, x - uj)) if x > 0
+            else (below, at(doubled, x + uj)))))) for x in windows[ui, uj] if x]))
+
+    entries = {(i, j): [(s - t) // 2 for s, t in zip(signed(u[i], u[j]), signed(u[j], u[i]))]
+               for i in range(k) for j in range(i + 1, k)}
+    entries.update({(i, k): list(map(operator.sub, at(prefix, ui), at(prefix, -ui)))
+                    for i, ui in enumerate(u) if k % 2})
+    confined = dict(zip(grid, _pfaffian(order, entries, product)))
     return sum(c * confined[m] for m, c in zip(lengths, coeffs))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from chamberwalk.asym import AsymptoticEstimate
+from chamberwalk.asym import AsymptoticEstimate, _log_factorial_odd, _squared_difference_product
 from chamberwalk.stepmodel import AtomicKind, CompositeSpec, check_chamber_point
 
 # name: (atomic kind, weights, fixed end point?, composite steps per unit of n).  A walk
@@ -77,28 +77,15 @@ def preset_spec(name: str, k: int, u: Optional[Sequence[int]] = None,
 # specialized asymptotic formulas
 
 
-def _sq_diff_log(u: Sequence[int]) -> float:
-    prod = 1
-    for j in range(len(u)):
-        for m in range(j + 1, len(u)):
-            prod *= u[m] ** 2 - u[j] ** 2
-    return math.log(prod)
-
-
-def _log_odd_factorials(k: int) -> float:
-    return sum(math.lgamma(2 * j) for j in range(1, k + 1))
-
-
 def _fixed_endpoint_log(u: Sequence[int], v: Sequence[int]) -> float:
-    prod = 1
-    for uj, vj in zip(u, v):
-        prod *= uj * vj
-    return _sq_diff_log(u) + _sq_diff_log(v) + math.log(prod)
+    prod = math.prod(uj * vj for uj, vj in zip(u, v))
+    return math.log(_squared_difference_product(u)) + math.log(_squared_difference_product(v)) \
+        + math.log(prod)
 
 
 def _free_endpoint_log(u: Sequence[int]) -> float:
     k = len(u)
-    out = _sq_diff_log(u)
+    out = math.log(_squared_difference_product(u))
     for j in range(1, k + 1):
         out += math.log(u[j - 1]) + math.lgamma(j) - math.lgamma(2 * j)
     return out
@@ -119,18 +106,18 @@ def preset_asym(instance: PresetInstance, n: int) -> AsymptoticEstimate:
         n_power = -Fraction(2 * k * k + k, 2)
         base_log = n * k * log2
         constant_log = (3 * k / 2) * log2 - (k / 2) * logpi \
-            + _fixed_endpoint_log(u, v) - _log_odd_factorials(k)
+            + _fixed_endpoint_log(u, v) - _log_factorial_odd(k)
     elif name == "watermelon":
         # n counts half-lengths: 2n composite steps
         n_power = -Fraction(2 * k * k + k, 2)
         base_log = n * k * math.log(4)
         if u == odd and v == odd:
-            constant_log = (k * k - k) * log2 - (k / 2) * logpi + _log_odd_factorials(k)
+            constant_log = (k * k - k) * log2 - (k / 2) * logpi + _log_factorial_odd(k)
         else:
             # fall back to the fixed-endpoint form at length 2n
             base_log = 2 * n * k * log2
             constant_log = (3 * k / 2) * log2 - (k / 2) * logpi \
-                + _fixed_endpoint_log(u, v) - _log_odd_factorials(k) \
+                + _fixed_endpoint_log(u, v) - _log_factorial_odd(k) \
                 + float(n_power) * math.log(2)
     elif name == "lock-step-free":
         n_power = -Fraction(k * k, 2)
@@ -149,7 +136,7 @@ def preset_asym(instance: PresetInstance, n: int) -> AsymptoticEstimate:
         base_log = n * math.log(2 * k)
         constant_log = log2 + (k / 2) * (log2 - logpi) \
             + (k * k + k / 2) * math.log(k) \
-            + _fixed_endpoint_log(u, v) - _log_odd_factorials(k)
+            + _fixed_endpoint_log(u, v) - _log_factorial_odd(k)
     elif name == "random-turns-free":
         # the exponent on k/n = S/(n S'') is k^2/2, as the k=1 central
         # binomial benchmark confirms
@@ -165,7 +152,7 @@ def preset_asym(instance: PresetInstance, n: int) -> AsymptoticEstimate:
         # collapses to prod (2j-1)!, matching the printed forms
         constant_log = (k / 2) * (log2 - logpi) \
             + (k * k + k / 2) * math.log(s1 / (2 + 8 * k)) \
-            + _fixed_endpoint_log(u, v) - _log_odd_factorials(k)
+            + _fixed_endpoint_log(u, v) - _log_factorial_odd(k)
     else:
         raise ValueError(f"unknown preset {name!r}")
 

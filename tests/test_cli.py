@@ -35,6 +35,14 @@ class TestCount:
         rec = json.loads(res.output)
         assert rec["count"] == "5" and rec["match"] is True
 
+    def test_free_count_far_from_the_wall(self):
+        """The Pfaffian reads no row past n*degree: a far start matches the DP at once."""
+        res = run("count", "--kind", "axis", "--k", "3", "--weights", "0,1",
+                  "--u", "1,2,100000000", "--n", "4", "--method", "both")
+        assert res.exit_code == 0, res.output
+        rec = json.loads(res.output)
+        assert rec["count"] == "188" and rec["match"] is True
+
     def test_hand_dp(self):
         res = run("count", "--kind", "axis", "--k", "1", "--weights", "1,1,1",
                   "--u", "1", "--v", "1", "--n", "2", "--method", "dp")
@@ -139,7 +147,7 @@ class TestCount:
         ("count", "--kind", "axis", "--k", "3", "--weights", "1,1,1", "--u", "1,2,3",
          "--v", "1,2,3", "--n", "400", "--method", "reflection"),
         ("count", "--kind", "axis", "--k", "2", "--weights", "1,1,1",
-         "--u", "1,2", "--n", "400", "--method", "reflection"),
+         "--u", "1,2", "--n", "10000", "--method", "reflection"),
         ("compare", "--kind", "axis", "--k", "3", "--weights", "1,1,1", "--u", "1,2,3",
          "--v", "1,2,3", "--grid", "100:400:100"),
         ("preset", "tangled-isolated", "--k", "3", "--n", "400"),
@@ -351,7 +359,7 @@ class TestErrorContract:
           "--u", _odd(9), "--v", _odd(9), "--n", "2", "--method", "reflection"), 3),
         (("preset", "watermelon", "--k", "9", "--n", "2"), 3),
         (("count", "--kind", "diagonal", "--k", "6", "--weights", "0,1",
-          "--u", _odd(6), "--n", "20000", "--method", "reflection"), 3),
+          "--u", _odd(6), "--n", "200000", "--method", "reflection"), 3),
         (("count", "--kind", "diagonal", "--k", "2", "--weights", "0,1,1",
           "--u", "1,3", "--n", "1000000", "--method", "reflection"), 3),
         (("count", "--kind", "diagonal", "--k", "2", "--weights", "0,1,1",

@@ -11,7 +11,9 @@ that the layer walk refused and the diagonal steps of the rotated route
 answer, a preset, a compare grid, a budget refusal,
 a DP count whose end point is exactly n*degree steps away, presets at their
 default end points (one at n = 0, where there is no estimate), a star of 18
-walkers, a free axis count at k = 2, n = 400, two signed sums of one
+walkers, a free axis count at k = 2, n = 400, the edges of the free-endpoint
+budget (random turns at k = 3 answered at n = 814 and refused at n = 815, a
+star at n = 100 refused first at k = 27), two signed sums of one
 atomic length (lock-step k = 7 at the wall, and rational weights 0,1/3), and two
 verify runs (every suite at seed 7; dsin and signs at seed 3).  A digest that
 moves means the CLI prints something else for the same flags.
@@ -81,6 +83,12 @@ GOLDEN = [
      "cffce81dd864944dbab197d49b87893b42b69b643bd9a9a119a83e673a29e6a0"),
     ("count --kind axis --k 2 --weights 0,1 --u 1,3 --n 400 --method reflection",
      "1c59c33412230a0222d07cc095a4b0e7ddfdda9eed57166218288de7cbee46ab"),
+    ("preset random-turns-free --k 3 --n 814",
+     "f9e14e553b7ec92dccf6a912b6b9bcae22efd7dbf21db6261bd0437a6c0d8f1a"),
+    ("preset random-turns-free --k 3 --n 815",
+     "18d3e751292c08bdce8af832f5adb98dff821d14d99a09ab39696d339ed15cbb"),
+    ("preset star --k 27 --n 100",
+     "77232c74dc52fdcdecdd11830112bda44a2f08fbd54254302bc4b5b91d71ef2e"),
     ("count --kind diagonal --k 7 --weights 0,1 --u 1,3,5,7,9,11,13 --v 1,3,5,7,9,11,13 "
      "--n 40 --method reflection",
      "9e200287c41f5c6943c97040984999c9be4002daa6b7c4715b93c346198c3ae4"),

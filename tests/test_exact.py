@@ -544,6 +544,19 @@ def test_free_lockstep_k4_equals_confined_free():
         == exact.count_confined_free(spec, (1, 3, 5, 7), 30)
 
 
+@pytest.mark.parametrize("kind,u,n,total", [
+    (AtomicKind.DIAGONAL, (1, 100000001), 4, 96),
+    (AtomicKind.DIAGONAL, (99999999999,), 6, 64),
+    (AtomicKind.AXIS, (1, 2, 100000000), 4, 188),
+], ids=["diagonal-k2", "k1", "axis-k3"])
+def test_free_count_far_from_the_wall(kind, u, n, total):
+    """A start far from the wall is answered as one near it: the windows read no row past
+    |d| = n*degree and make no product whose row r(x - u_i) is 0."""
+    spec = CompositeSpec(kind, len(u), [0, 1])
+    assert exact.count_reflection_free(spec, u, n) == exact.count_confined_free(spec, u, n) \
+        == total
+
+
 @pytest.mark.parametrize("kind,k,weights,u", [
     (AtomicKind.DIAGONAL, 2, "0,1", (1, 3)),
     (AtomicKind.DIAGONAL, 2, "0,0,1", (2, 4)),
@@ -657,7 +670,7 @@ _LONG_LOCKSTEP = CompositeSpec(AtomicKind.DIAGONAL, 1, [0, 1])
                                        (1, 2, 3), (1, 2, 3), 400)),
     ("free-endpoint Pfaffian work",
      lambda: exact.count_reflection_free(CompositeSpec(AtomicKind.AXIS, 2, [1, 1, 1]),
-                                         (1, 2), 400)),
+                                         (1, 2), 10000)),
     ("signed sum work",
      lambda: exact.count_reflection(CompositeSpec(AtomicKind.DIAGONAL, 9, [0, 1]),
                                     tuple(range(1, 18, 2)), tuple(range(1, 18, 2)), 2)),
@@ -903,7 +916,7 @@ def test_axis_work_bounds_the_convolutions(weights, k, n, data):
 
 
 # the largest estimate/counted ratio seen over both kinds, WEIGHT_LISTS, k <= 8
-# (k <= 3 for axis steps) and n <= 8 is about 3
+# (k <= 3 for axis steps) and n <= 8 is about 2
 FREE_WORK_SLACK = 8
 
 
@@ -914,30 +927,31 @@ FREE_WORK_SLACK = 8
 def test_free_work_bounds_the_products(kind, weights, k, n, data):
     """counted <= estimate <= C*(counted + 1) for the free-endpoint Pfaffian.
 
-    counted is the work the route must do: one unit per entry f_i(x)[m]
-    with x <= max(u) + m (above it the entry is 0), one per binomial row
-    entry, and one per scalar product in its ring products, where a binomial
-    convolution multiplies the pairs past the leading zeros of both factors.
-    The memoised Pfaffian makes each product of a minor once.  Axis steps at
-    k = 2 are counted as diagonal steps from (u_2 - u_1, u_1 + u_2).  At these
-    lengths no integer has over 64 bits, so a word is a unit.
+    counted is the work the route must do: one unit per entry of the rows r(d), |d| <=
+    min(n*degree, max(u)), of their prefix and doubled sums and of the Pascal rows; for each
+    ring product, 2 to call and then one per scalar product pointwise, or one half per pair
+    past the leading zeros of both factors in a binomial convolution.  The windows and the
+    memoised Pfaffian make each product once.  Axis steps at k = 2 are counted as diagonal
+    steps from (u_2 - u_1, u_1 + u_2).  At these lengths no integer has over 64 bits, so a
+    scalar product is a unit.
     """
     if kind is AtomicKind.AXIS:
         k = min(k, 3)
     spec = _spec(kind, k, weights)
     u = _chamber_point(data, kind, k)
     top = n * spec.degree
-    grid = range(top + 1) if kind is AtomicKind.AXIS and k > 2 \
+    convolved = kind is AtomicKind.AXIS and k > 2
+    grid = range(top + 1) if convolved \
         else exact._weight_power(_integer_spec(spec).weights, n)[0]
-    high = sum(u) if kind is AtomicKind.AXIS and k == 2 else max(u)
-    counted = [sum((high + m) * k + m + 1 for m in grid)]
+    reach = min(top, sum(u) if kind is AtomicKind.AXIS and k == 2 else max(u))
+    counted = [(5 * reach + 7) * len(grid) + convolved * len(grid) * (len(grid) + 1) // 2]
 
     def counting(binomials, a, b):
         if binomials is None:
-            counted.append(len(a))
+            counted.append(2 + len(a))
         else:
             t = max(0, len(a) - _leading_zeros(a) - _leading_zeros(b))
-            counted.append(t * (t + 1) // 2)
+            counted.append(2 + t * (t + 1) // 4)
         return ring_product(binomials, a, b)
 
     ring_product = exact._ring_product

@@ -285,7 +285,8 @@ _C_FREE = lambda k: Fraction(-k * (2 * k * k - 1), 4)  # noqa: E731
 _WALL_COEFFICIENT = {"lock-step-fixed": _C_FIXED, "lock-step-free": _C_FREE,
                      "random-turns-fixed": _C_FIXED, "random-turns-free": _C_FREE}
 _WALL_CASES = [(k, name) for name in sorted(_WALL_COEFFICIENT)
-               for k in ([1, 2, 3] if name.startswith("lock-step") else [1, 2])]
+               for k in ([1, 2, 3] if name.startswith("lock-step") else [1, 2])] \
+    + [(4, "lock-step-free"), (5, "lock-step-free")]
 
 
 @pytest.mark.parametrize("k,name", _WALL_CASES)
