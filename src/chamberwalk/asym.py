@@ -167,10 +167,16 @@ def compare_series(spec: CompositeSpec, u: Sequence[int], v: Optional[Sequence[i
     they are counted, and so are zero exact counts; the decay of the residual
     delta_n = exact/asym - 1 is fitted as log|delta| ~ slope * log n.  An
     increasing ``range`` grid is walked as it is, without being expanded.
+    Each point costs at least one unit of work, so a grid of more points than
+    the budget is refused before any is counted.
     """
     rows = []
     walk = isinstance(n_grid, range) and n_grid.step > 0
-    for n in n_grid if walk else sorted(set(n_grid)):
+    grid = n_grid if walk else sorted(set(n_grid))
+    # len() of a range overflows past sys.maxsize; its ceiling quotient does not
+    points = max(0, -((grid.start - grid.stop) // grid.step)) if walk else len(grid)
+    exact._check_work("comparison grid points", points)
+    for n in grid:
         est = asym_free(spec, u, n) if v is None else asym_fixed(spec, u, v, n)
         if not est.supported:
             continue

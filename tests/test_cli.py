@@ -1,26 +1,61 @@
 """CLI contract: commands, output formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
+from typing import Optional
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-
-from click.testing import CliRunner
 
 import chamberwalk
 from chamberwalk import detlab, exact, presets, verify
 from chamberwalk.cli import main
 
 
-def run(*args, env=None):
-    return CliRunner().invoke(main, list(args), env=env)
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str                           # stdout and stderr, interleaved as written
+    exception: Optional[BaseException]    # what ended the run; None on exit 0
+
+
+class _Stream(io.StringIO):
+    """One stream of a run, each write also copied into the run's interleaved output."""
+
+    def __init__(self, output: io.StringIO):
+        super().__init__()
+        self.output = output
+
+    def write(self, text):
+        self.output.write(text)
+        return super().write(text)
+
+
+def run(*args):
+    """Runs the CLI in this process on ``args``."""
+    output = io.StringIO()
+    out, err = _Stream(output), _Stream(output)
+    code, exception = 0, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args))
+        except SystemExit as exc:
+            code = exc.code or 0
+            exception = exc if code else None
+        except (Exception, KeyboardInterrupt) as exc:   # escaped main: a test failure
+            code, exception = 1, exc
+    return Result(code, out.getvalue(), err.getvalue(), output.getvalue(), exception)
 
 
 def _odd(k):
@@ -59,6 +94,24 @@ class TestCount:
         counts = [json.loads(line)["count"] for line in res.output.splitlines()]
         assert counts == ["1", "2", "5"]
 
+    def test_range_flushes_each_record(self):
+        """Each record reaches the reader as it is written, before the next length is counted."""
+        class Recorder(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.flushed = []
+
+            def flush(self):
+                self.flushed.append(self.getvalue())
+
+        out = Recorder()
+        with contextlib.redirect_stdout(out):
+            main(["count", "--kind", "diagonal", "--k", "1", "--weights", "0,1",
+                  "--u", "1", "--v", "1", "--n", "2:6:2"])
+        lines = out.getvalue().splitlines(keepends=True)
+        assert len(lines) == 3
+        assert out.flushed[:3] == ["".join(lines[:i + 1]) for i in range(3)]
+
     def test_free_endpoint(self):
         res = run("count", "--kind", "diagonal", "--k", "1", "--weights", "0,1",
                   "--u", "1", "--n", "4")
@@ -70,9 +123,27 @@ class TestCount:
         assert json.loads(res.output)["count"] == "13/36"
 
     def test_usage_error_exit_2(self):
-        res = run("count", "--kind", "axis", "--k", "2", "--weights", "0,1",
-                  "--u", "1", "--v", "1,2", "--n", "2")
-        assert res.exit_code == 2
+        """A value that begins with '-' reaches the program's own check, as any other does."""
+        for u, message in [("1", "--u must have 2 coordinates"),
+                           ("-1,2", "(-1, 2) is not strictly inside the chamber")]:
+            res = run("count", "--kind", "axis", "--k", "2", "--weights", "0,1",
+                      "--u", u, "--v", "1,2", "--n", "2")
+            assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+            assert message in res.stderr and "Traceback" not in res.output
+
+    def test_count_process_imports_no_click(self):
+        """The parser is the standard library's argparse: a count process loads no click."""
+        env = dict(os.environ)
+        package_root = str(Path(chamberwalk.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-X", "importtime", "-m", "chamberwalk.cli",
+                              "count", "--kind", "diagonal", "--k", "1", "--weights", "0,1",
+                              "--u", "1", "--v", "1", "--n", "6"], env=env, capture_output=True,
+                             text=True, timeout=30)
+        assert res.returncode == 0 and json.loads(res.stdout)["count"] == "5"
+        modules = {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()}
+        assert "chamberwalk.exact" in modules and "argparse" in modules
+        assert not {name for name in modules if name.split(".")[0] == "click"}
 
     @pytest.mark.parametrize("method", ["dp", "reflection", "both"])
     @pytest.mark.parametrize("n_text", ["-1", "-2:4:2"])
@@ -231,6 +302,14 @@ class TestCompare:
         assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
         assert "budget" in res.output and "Traceback" not in res.output
 
+    def test_grid_within_the_point_budget_is_priced_point_by_point(self, monkeypatch):
+        """500 points fit a budget of 1000; the signed sum of a later point is refused."""
+        monkeypatch.setattr(exact, "DEFAULT_STATE_BUDGET", 1000)
+        res = run("compare", "--kind", "axis", "--k", "2", "--weights", "1,1,1",
+                  "--u", "1,2", "--v", "1,2", "--grid", "2:1000:2")
+        assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("signed sum work: estimate") and not res.stdout
+
     def test_negative_grid_exit_2(self):
         res = run("compare", "--kind", "axis", "--k", "1", "--weights", "0,1",
                   "--u", "1", "--v", "1", "--grid", "-4:8:4")
@@ -368,8 +447,11 @@ class TestErrorContract:
           "--u", "1", "--v", "1", "--n", "20000", "--method", "dp"), 3),
         (("count", "--kind", "diagonal", "--k", "1", "--weights", "0,1",
           "--u", "1", "--n", "20000", "--method", "dp"), 3),
+        (("compare", "--kind", "diagonal", "--k", "1", "--weights", "0,1",
+          "--u", "1", "--v", "1", "--grid", "1:1000000000000:1"), 3),
     ], ids=["asym-k16", "asym-k22", "signed-sum-k9", "preset-k9", "free-lockstep-k6",
-            "free-long-walk", "long-walk-bits", "dp-long-walk", "dp-free-long-walk"])
+            "free-long-walk", "long-walk-bits", "dp-long-walk", "dp-free-long-walk",
+            "compare-huge-grid"])
     def test_large_k_answers_or_refuses_quickly(self, args, code):
         env = dict(os.environ)
         package_root = str(Path(chamberwalk.__file__).parent.parent)
@@ -424,6 +506,15 @@ class TestErrorContract:
         assert res.exit_code == 4 and isinstance(res.exception, SystemExit)
         assert res.output == "internal error: RuntimeError: boom\n"
 
+    def test_interrupt_exits_1_without_traceback(self, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(exact, "count_confined", interrupted)
+        res = run("count", "--kind", "diagonal", "--k", "1", "--weights", "0,1",
+                  "--u", "1", "--v", "1", "--n", "4")
+        assert res.exit_code == 1 and res.output == "\nAborted!\n"
+
     def test_verify_value_error_is_internal(self, monkeypatch):
         def broken(seed):
             raise ValueError("bad quadrature")
@@ -458,10 +549,12 @@ def _chamber_point(draw, kind, k):
 
 @st.composite
 def _bad_point(draw, kind, k):
-    """Off the diagonal lattice, not integers, outside the chamber, of the wrong dimension."""
+    """Off the diagonal lattice, not integers, outside the chamber (one text that begins
+    with '-', as `-1,2` does), of the wrong dimension."""
     point = draw(_chamber_point(kind, k))
     return draw(st.sampled_from([
         _text(point[:-1] + [point[-1] + 1]),
+        _text([-point[0]] + point[1:]),
         _text(point[:-1]) + ("," if k > 1 else "") + "1.5",
         _text([0] + point[1:]),
         _text(point[::-1]) if k > 1 else "-1",
