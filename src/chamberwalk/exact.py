@@ -10,9 +10,9 @@ Every count uses S = P(A): sum_m [x^m]P(x)^n times the count of atomic walks of 
 [z^d](z + 1/z)^m, pointwise for the diagonal kind and by the binomial convolution of
 ``_ring_product`` for the axis kind; a Pfaffian entry is a finite window of such products.
 Both reflection routes count axis steps at k <= 2 as diagonal steps (``_as_diagonal``).  The
-DP keeps only chamber points, and for one end point only those in its reach, each packed into
-one int.  A count whose end point is out of reach or ruled out by the step parity is 0, never
-refused (``_reachable``).
+DP packs each point into one int and moves one coordinate at a time, keeping only chamber
+points, and for one end point only those in its reach.  A count whose end point is out of
+reach or ruled out by the step parity is 0, never refused (``_reachable``).
 
 Every route estimates its work before it runs and raises ``ResourceBudgetError`` over
 ``DEFAULT_STATE_BUDGET`` (``_check_work``).  Every route counts in Python ints: the one entry
@@ -67,21 +67,6 @@ def _check_work(what: str, ops: int, integers: int = 0, bits: int = 0) -> None:
 # step distributions
 
 
-def atomic_displacements(spec: CompositeSpec) -> list[tuple[int, ...]]:
-    if spec.kind is AtomicKind.AXIS:
-        return [tuple(sign * (i == j) for i in range(spec.k))
-                for j in range(spec.k) for sign in (1, -1)]
-    return list(itertools.product((1, -1), repeat=spec.k))
-
-
-def _convolve(layer: dict, offsets: Sequence[int]) -> dict:
-    out: dict = {}
-    for key, mass in layer.items():
-        for offset in offsets:
-            out[t] = out.get(t := key + offset, 0) + mass
-    return out
-
-
 def _weight_power(weights: tuple, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The atomic lengths m with [x^m]P(x)^n != 0, and those coefficients, for integer weights.
 
@@ -105,48 +90,59 @@ def _weighted_layers(spec: CompositeSpec, n: int, start: tuple[int, ...],
 
     layer_0 is {start: 1}, layer_(m+1) the atomic steps from layer_m inside the chamber.  A
     point x is the int sum_i (x_i + N) << (w*i), N = n*degree, each coordinate within N steps
-    of ``start`` a digit in [0, 2^w): a step adds one int, and no digit carries.  Read at
-    ``point``, layer m keeps only the points within L - m steps of it, L the last length read
-    (l1 for axis steps, l-infinity for diagonal ones)."""
+    of ``start`` a digit in [0, 2^w).  A step moves one coordinate at a time (``_moves``): an
+    axis step is the sum of its k moves, a diagonal step their product, x_1 first, so that x_i
+    moves against the new x_(i-1).  Read at ``point``, layer m keeps only the points within
+    L - m steps of it, L the last length read: each coordinate as it moves, and for axis steps
+    the l1 distance once it can exceed L - m."""
     _check_work("confined DP updates", _layer_work(spec, n, start))
     lengths, coeffs = _weight_power(spec.weights, n)
-    top, axis = n * spec.degree, spec.kind is AtomicKind.AXIS
+    k, top, axis = spec.k, n * spec.degree, spec.kind is AtomicKind.AXIS
     width = (max(start) + 2 * top + 1).bit_length()
-    shifts, mask = range(0, width * spec.k, width), (1 << width) - 1
+    shifts, mask = range(0, width * k, width), (1 << width) - 1
+    # a move checks x_(i-1) below (x_1 the wall, in its low bound) and, axis only, x_(i+1) above
+    below, above = [None, *shifts[:-1]], [*shifts[1:], None] if axis else [None] * k
+    # with no point read, the reach never binds: L - m > 2^w, past every digit
+    last, aim = (lengths[-1], [x + top for x in point]) if point else (2 << width, [0] * k)
+    # an axis point is within l1 distance L - m of ``point`` while 2m <= L - |point - start|_1
+    spread = last - sum(map(abs, map(operator.sub, start, point))) if point and axis else 2 * last
 
-    def pack(point, base=top):
-        return sum((x + base) << s for x, s in zip(point, shifts))
-
-    def chamber(key, left):  # top < x_1 + N < ... < x_k + N, any left
-        low = top
-        for s in shifts:
-            if (digit := key >> s & mask) <= low:
-                return False
-            low = digit
-        return True
-
-    def near(key, left):  # in the chamber, and the aim within left steps
-        low = top
+    def near(key, left):  # the aim within left axis steps, in l1
         for s, t in zip(shifts, aim):
-            if (digit := key >> s & mask) <= low or (gap := abs(digit - t)) > left:
+            if (left := left - abs((key >> s & mask) - t)) < 0:
                 return False
-            low, left = digit, left - gap if axis else left
         return True
 
-    # at n = 0 no step is taken: the 2^k diagonal offsets are not built
-    offsets = [pack(d, 0) for d in atomic_displacements(spec)] if lengths[-1] else []
-    # with no point read, the chamber test alone keeps the free DP fast
-    inside, last = chamber, 0
-    if point is not None:
-        inside, last, aim, end = near, lengths[-1], [x + top for x in point], pack(point)
-    layer, m, total = {pack(start): 1}, 0, 0
+    layer, m, total = {sum((x + top) << s for x, s in zip(start, shifts)): 1}, 0, 0
     for length, c in zip(lengths, coeffs):
         while m < length:
-            layer = _convolve(layer, offsets)
             m += 1
-            layer = {key: mass for key, mass in layer.items() if inside(key, last - m)}
-        total += c * (sum(layer.values()) if point is None else layer.get(end, 0))
+            left, source, layer = last - m, layer, {}
+            for i, s, t in zip(range(k), shifts, aim):
+                low = max(t - left, top + 1) if i == 0 else t - left
+                # an axis step adds its k moves of one layer, a diagonal step chains them
+                layer = _moves(source, layer if axis else {}, s, mask, low, t + left, below[i],
+                               above[i])
+                source = source if axis else layer
+            if 2 * m > spread:
+                layer = {key: mass for key, mass in layer.items() if near(key, left)}
+        total += c * (sum(layer.values()) if point is None else layer.get(
+            sum(t << s for t, s in zip(aim, shifts)), 0))
     return total
+
+
+def _moves(layer: dict, out: dict, shift: int, mask: int, low: int, high: int,
+           below: int | None, above: int | None) -> dict:
+    """``out`` plus every point of ``layer`` with its digit at ``shift`` moved by +-1 to a digit
+    in [low, high], under the digit at ``above`` and over the one at ``below``, if given."""
+    one = 1 << shift
+    for key, mass in layer.items():
+        digit = key >> shift & mask
+        if digit < high and (above is None or digit + 1 < key >> above & mask):
+            out[t] = out.get(t := key + one, 0) + mass
+        if digit > low and (below is None or digit - 1 > key >> below & mask):
+            out[t] = out.get(t := key - one, 0) + mass
+    return out
 
 
 def _layer_work(spec: CompositeSpec, n: int, start: Sequence[int]) -> int:
@@ -155,7 +151,9 @@ def _layer_work(spec: CompositeSpec, n: int, start: Sequence[int]) -> int:
     N = n*degree.  Layer m holds at most the points within m steps, the l1 ball sum_i 2^i
     C(k, i) C(m, i) for axis steps or the box (m+1)^k for diagonal ones, and the chamber points
     with x_k <= b + m, b = max(start): C(b + m, k), or C((b + m + 1)//2, k) for diagonal steps,
-    which keep one parity.  The smaller sum over m <= N is taken in closed form.
+    which keep one parity.  The smaller sum over m <= N is taken in closed form, times 2k, or
+    2^k for diagonal steps: ``_moves`` tries 2 moves a point in each of k passes, which hold
+    about as many points as the layer, so for k >= 3 that charge is over by about 2^(k-1)/k.
     """
     k, top, axis = spec.k, n * spec.degree, spec.kind is AtomicKind.AXIS
     if top == 0:

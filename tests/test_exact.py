@@ -219,11 +219,11 @@ def test_signed_sum_draws_every_term(kind, weights):
 
 @pytest.mark.parametrize("kind", [AtomicKind.AXIS, AtomicKind.DIAGONAL])
 def test_dp_takes_no_step_at_n_zero(kind):
-    """At n = 0 the DP counts the empty walk without building the 2^18 or 36 atomic steps."""
+    """At n = 0 the DP counts the empty walk without moving a coordinate."""
     spec = CompositeSpec(kind, 18, [0, 1])
     stride = 2 if kind is AtomicKind.DIAGONAL else 1
     u = tuple(range(1, stride * 18 + 1, stride))
-    with mock.patch.object(exact, "atomic_displacements", side_effect=AssertionError):
+    with mock.patch.object(exact, "_moves", side_effect=AssertionError):
         assert exact.count_confined_free(spec, u, 0) == 1
         assert exact.count_confined(spec, u, u, 0) == 1
 
@@ -306,6 +306,32 @@ def test_dp_matches_composite_step_dp(kind, weights, k, n, data):
     frontier = _composite_dp(spec, u, n)
     assert exact.count_confined(spec, u, v, n) == frontier.get(v, 0)
     assert exact.count_confined_free(spec, u, n) == sum(frontier.values())
+
+
+@settings(deadline=None, max_examples=40)
+@given(weights=st.sampled_from(WEIGHT_LISTS), n=st.integers(0, 4), data=st.data())
+def test_diagonal_dp_at_k4_matches_composite_step_dp(weights, n, data):
+    """A diagonal step moves x_1, x_2, x_3, x_4 in turn, each against the x_(i-1) that it has
+    already moved; the counts are those of whole composite steps."""
+    spec = _spec(AtomicKind.DIAGONAL, 4, weights)
+    u = _chamber_point(data, AtomicKind.DIAGONAL, 4)
+    v = _chamber_point(data, AtomicKind.DIAGONAL, 4)
+    frontier = _composite_dp(spec, u, n)
+    assert exact.count_confined(spec, u, v, n) == frontier.get(v, 0)
+    assert exact.count_confined_free(spec, u, n) == sum(frontier.values())
+
+
+@pytest.mark.parametrize("weights", ["0,1", "1,0,1", "0,1,1"])
+@pytest.mark.parametrize("u", [(1, 3, 5, 7), (2, 4, 6), (2, 4, 6, 8), (1, 3)], ids=str)
+def test_diagonal_dp_packed_against_the_wall(u, weights):
+    """Gaps of exactly 2 from the wall up: x_i moving down meets an x_(i-1) that moved up in
+    the same step.  Every end point of the composite-step DP, u itself and the total agree."""
+    spec = _spec(AtomicKind.DIAGONAL, len(u), weights)
+    for n in range(5):
+        frontier = _composite_dp(spec, u, n)
+        for v in {u, *frontier}:
+            assert exact.count_confined(spec, u, v, n) == frontier.get(v, 0), (v, n)
+        assert exact.count_confined_free(spec, u, n) == sum(frontier.values())
 
 
 @pytest.mark.parametrize("weights", ["1/2,1/3", "2/3,0,1/5"])
@@ -820,15 +846,15 @@ def test_dp_at_the_reach_edge(kind, weights, k, n, short, data):
 
 
 def _dict_updates(route):
-    """The dict updates of ``_convolve`` while ``route`` runs."""
+    """The dict updates of ``_moves`` while ``route`` runs: two tries a point per call."""
     counted = []
 
-    def counting(dist, steps):
-        counted.append(len(dist) * len(steps))
-        return convolve(dist, steps)
+    def counting(layer, *args):
+        counted.append(2 * len(layer))
+        return moves(layer, *args)
 
-    convolve = exact._convolve
-    with mock.patch.object(exact, "_convolve", counting):
+    moves = exact._moves
+    with mock.patch.object(exact, "_moves", counting):
         route()
     return sum(counted)
 
@@ -844,7 +870,7 @@ def test_fixed_end_dp_keeps_only_points_in_reach(kind, weights, u, v, n, share):
     spec = _spec(kind, len(u), weights)
     assert exact.count_confined(spec, u, v, n) > 0
     fixed = _dict_updates(lambda: exact.count_confined(spec, u, v, n))
-    assert fixed <= share * _dict_updates(lambda: exact.count_confined_free(spec, u, n))
+    assert 0 < fixed <= share * _dict_updates(lambda: exact.count_confined_free(spec, u, n))
 
 
 # the largest estimate/counted ratio seen over both kinds, WEIGHT_LISTS, k <= 3
