@@ -54,8 +54,11 @@ def _parse_weights(text: str) -> list[Fraction]:
         raise UsageError("--weights must be comma-separated rationals like 0,1 or 1/2,1")
 
 
-def _build_spec(kind: str, k: int, weights: str) -> CompositeSpec:
-    return CompositeSpec(AtomicKind(kind), k, _parse_weights(weights))
+def _model(kind: str, k: int, weights: str, u_text: str, v_text: Optional[str]) -> tuple:
+    """(spec, u, v) of the model options, v None for a free end point, parsed in that order."""
+    spec = CompositeSpec(AtomicKind(kind), k, _parse_weights(weights))
+    u = _parse_point(u_text, k, "u")
+    return spec, u, None if v_text is None else _parse_point(v_text, k, "v")
 
 
 def _parse_n_values(text: str) -> Sequence[int]:
@@ -85,9 +88,7 @@ def _emit(record: dict) -> None:
 def cmd_count(kind: str, k: int, weights: str, u_text: str, v_text: Optional[str],
               n_text: str, method: str) -> None:
     """Exact confined counts, one JSON line per length."""
-    spec = _build_spec(kind, k, weights)
-    u = _parse_point(u_text, k, "u")
-    v = _parse_point(v_text, k, "v") if v_text is not None else None
+    spec, u, v = _model(kind, k, weights, u_text, v_text)
     mismatch = False
     for n in _parse_n_values(n_text):
         record = {"kind": kind, "k": k, "weights": [exact.format_count(w) for w in spec.weights],
@@ -114,9 +115,7 @@ def cmd_count(kind: str, k: int, weights: str, u_text: str, v_text: Optional[str
 def cmd_asym(kind: str, k: int, weights: str, u_text: str, v_text: Optional[str],
              n_value: int) -> None:
     """Leading-order asymptotic estimate as a single JSON record."""
-    spec = _build_spec(kind, k, weights)
-    u = _parse_point(u_text, k, "u")
-    v = _parse_point(v_text, k, "v") if v_text is not None else None
+    spec, u, v = _model(kind, k, weights, u_text, v_text)
     est = asym.asym_free(spec, u, n_value) if v is None else asym.asym_fixed(spec, u, v, n_value)
     record = {"kind": kind, "k": k, "u": list(u), "n": n_value,
               "supported": est.supported}
@@ -132,9 +131,7 @@ def cmd_asym(kind: str, k: int, weights: str, u_text: str, v_text: Optional[str]
 def cmd_compare(kind: str, k: int, weights: str, u_text: str, v_text: Optional[str],
                 grid: str, fmt: str) -> None:
     """Exact-vs-asymptotic convergence table with a fitted decay slope."""
-    spec = _build_spec(kind, k, weights)
-    u = _parse_point(u_text, k, "u")
-    v = _parse_point(v_text, k, "v") if v_text is not None else None
+    spec, u, v = _model(kind, k, weights, u_text, v_text)
     report = asym.compare_series(spec, u, v, _parse_n_values(grid))
     rows = [{"n": r.n, "exact_log": r.exact_log, "asym_log": r.asym_log,
              "ratio": r.ratio, "delta": r.delta} for r in report.rows]

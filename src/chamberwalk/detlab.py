@@ -260,11 +260,6 @@ def _selberg_rational(k: int, weight: str) -> Fraction:
     raise ValueError(f"unknown weight {weight!r}")
 
 
-def selberg_closed_form(k: int, weight: str) -> float:
-    """Closed forms of the Laguerre and Hermite Selberg integrals."""
-    return float(_selberg_rational(k, weight)) * _UNIT_SQUARED[weight] ** (k / 2)
-
-
 def _moment(weight: str, p: int) -> Fraction:
     """Integral of x^p against the weight, over its unit."""
     if weight == "hermite":  # (p - 1)!! for even p

