@@ -23,13 +23,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from chamberwalk import exact
-from chamberwalk.stepmodel import (
-    CompositeSpec,
-    check_chamber_point,
-    curvature,
-    maximal_point_count,
-    s_one,
-)
+from chamberwalk.stepmodel import (CompositeSpec, check_chamber_point, check_walk_length,
+                                   curvature, maximal_point_count, s_one)
 
 
 class DiagnosticError(ValueError):
@@ -107,8 +102,7 @@ def _squared_difference_product(u: Sequence[int]) -> int:
 def asym_fixed(spec: CompositeSpec, u: Sequence[int], v: Sequence[int],
                n: int) -> AsymptoticEstimate:
     """Leading-order estimate of the confined count with both endpoints fixed; none at n = 0."""
-    if n < 0:
-        raise ValueError(f"walk length n must be >= 0, got {n}")
+    check_walk_length(n)
     u = check_chamber_point(spec, u)
     v = check_chamber_point(spec, v)
     k = spec.k
@@ -132,8 +126,7 @@ def asym_fixed(spec: CompositeSpec, u: Sequence[int], v: Sequence[int],
 
 def asym_free(spec: CompositeSpec, u: Sequence[int], n: int) -> AsymptoticEstimate:
     """Leading-order estimate of the confined count with a free endpoint; none at n = 0."""
-    if n < 0:
-        raise ValueError(f"walk length n must be >= 0, got {n}")
+    check_walk_length(n)
     u = check_chamber_point(spec, u)
     k = spec.k
     lam = curvature(spec)

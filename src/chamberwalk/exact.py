@@ -16,11 +16,12 @@ only those in its reach.  A count whose end point is out of reach or ruled out b
 parity is 0, never refused (``_reachable``).
 
 Every route estimates its work before it runs and raises ``ResourceBudgetError`` over
-``DEFAULT_STATE_BUDGET`` (``_check_work``): the DP its dict updates, the reflection routes
-each ring product at one price (``_product_work``).  Every route counts in Python ints: the
-one entry ``_exact_count`` scales rational weights by the lcm D of their denominators and
-divides the count by D^n once.  Confinement is atomic-strict: every intermediate atomic
-position inside a composite step must stay strictly inside the chamber.
+``DEFAULT_STATE_BUDGET`` (``_check_work``), by one price list: the DP's dict updates, each
+ring product (``_product_work``), each integer held (``_held_work``), each ``math.comb`` row
+(``_comb_work``) and the one-length stream's products of ints.  Every route counts in Python
+ints: the one entry ``_exact_count`` scales rational weights by the lcm D of their
+denominators and divides the count by D^n once.  Confinement is atomic-strict: every
+intermediate atomic position inside a composite step must stay strictly inside the chamber.
 """
 
 from __future__ import annotations
@@ -35,14 +36,14 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from chamberwalk.stepmodel import (
-    AtomicKind,
-    CompositeSpec,
-    check_chamber_point,
-    lattice_contains,
-)
+from chamberwalk.stepmodel import (AtomicKind, CompositeSpec, check_chamber_point,
+                                   check_walk_length, lattice_contains)
 
 DEFAULT_STATE_BUDGET = 10 ** 7
+# a one-length signed-sum term takes 0.5-1.3 us per ab/2^20 of its products of a- by b-bit ints
+# (lock-step k = 4 to 7, N = 200 to 20000, in process on a 2-core machine), about 3.5 times the
+# 0.3 us of the other routes' units: lock-step k = 7 at its edge, n = 462, takes 4.3-4.7 s
+_STREAM_SCALE = Fraction(7, 2)
 
 
 class ResourceBudgetError(RuntimeError):
@@ -53,10 +54,8 @@ class ResourceBudgetError(RuntimeError):
         self.what, self.estimate, self.budget = what, estimate, budget
 
 
-def _check_work(what: str, ops: int, integers: int = 0, bits: int = 0) -> None:
-    """Refuses an exact route whose work is over the budget: ``ops`` operations of about one
-    time each, plus the 64-bit words of ``integers`` integers of up to ``bits`` bits."""
-    work = ops + integers * (bits // 64 + 1)
+def _check_work(what: str, work: int) -> None:
+    """Refuses an exact route whose ``work``, estimated by one price list, is over the budget."""
     if work > DEFAULT_STATE_BUDGET:
         raise ResourceBudgetError(what, work, DEFAULT_STATE_BUDGET)
 
@@ -148,8 +147,7 @@ def _layer_work(spec: CompositeSpec, n: int, start: Sequence[int]) -> int:
     C(k, i) C(m, i) for axis steps or the box (m+1)^k for diagonal ones, and the chamber points
     with x_k <= b + m, b = max(start): C(b + m, k), or C((b + m + 1)//2, k) for diagonal steps,
     which keep one parity.  The smaller sum over m <= N is taken in closed form, times 2k:
-    ``_moves`` tries 2 moves a point in each of k passes, which hold about as many points as
-    the layer.
+    ``_moves`` tries 2 moves a point in each of k passes, of about as many points as the layer.
     """
     k, top, axis = spec.k, n * spec.degree, spec.kind is AtomicKind.AXIS
     if top == 0:
@@ -201,6 +199,11 @@ def _product_work(convolved: bool, size: int, a: int, b: int) -> int:
                 else size * (a * b // 2 ** 20 + 1))
 
 
+def _held_work(entries: int, bits: int) -> int:
+    """The work of holding ``entries`` integers of up to ``bits`` bits: one a 4096 bits each."""
+    return entries * (bits // 4096 + 1)
+
+
 def _comb_work(rows: int, top: int) -> int:
     """``rows`` rows of one ``math.comb(N, .)``, N = ``top``: (N/64 + 1)^2/8 each, about N^1.8."""
     return rows * (top // 64 + 1) ** 2 // 8
@@ -250,17 +253,14 @@ def _as_diagonal(spec: CompositeSpec, *points: tuple[int, ...]) -> tuple:
 
 
 def _exact_count(route: Callable) -> Callable:
-    """The entry to a route: checks n >= 0, counts with the weights D*w_m, divides by D^n."""
-    # D, the lcm of the weight denominators, makes them ints; every count is homogeneous of
-    # degree n in the weights
+    """The entry to a route: checks n >= 0, counts with the weights D*w_m, D the lcm of their
+    denominators, and divides by D^n, as every count is homogeneous of degree n in them."""
     signature = inspect.signature(route)
 
     @functools.wraps(route)
     def count(*args, **kwargs):
         call = signature.bind(*args, **kwargs)
-        spec, n = call.arguments["spec"], call.arguments["n"]
-        if n < 0:
-            raise ValueError(f"walk length n must be >= 0, got {n}")
+        spec, n = call.arguments["spec"], check_walk_length(call.arguments["n"])
         d = math.lcm(*(w.denominator for w in spec.weights))
         call.arguments["spec"] = CompositeSpec(spec.kind, spec.k, [d * w for w in spec.weights])
         total = route(*call.args, **call.kwargs)
@@ -281,16 +281,13 @@ def count_unconstrained(spec: CompositeSpec, u: Sequence[int], v: Sequence[int],
             raise ValueError(f"{p} is not on the walk lattice")
     if not _reachable(spec, u, v, n):
         return 0
-    _check_work(f"{spec.kind.value} kernel work", *_term_size(spec, u, v, n, 1))
+    _check_work(f"{spec.kind.value} kernel work", _term_size(spec, u, v, n, 1))
     return _signed_sum(spec, u, v, n, [(tuple((j, 1) for j in range(spec.k)), 1)])
 
 
 def signed_permutations(k: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yields (image map, sign) over all signed permutations of {1..k}.
-
-    The image map sends position j to (source index, sign); the yielded
-    sign is sgn(sigma) * prod_j eps_j.
-    """
+    """Yields (image map, sign) over all signed permutations of {1..k}: the image map sends
+    position j to (source index, sign), and sign is sgn(sigma) * prod_j eps_j."""
     eps_signs = [math.prod(eps) for eps in itertools.product((1, -1), repeat=k)]
     for perm in itertools.permutations(range(k)):
         sgn = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
@@ -307,7 +304,7 @@ def count_reflection(spec: CompositeSpec, u: Sequence[int], v: Sequence[int], n:
     spec, u, v = _as_diagonal(spec, check_chamber_point(spec, u), check_chamber_point(spec, v))
     try:
         _check_work("signed sum work",
-                    *_term_size(spec, u, v, n, math.factorial(spec.k) * 2 ** spec.k))
+                    _term_size(spec, u, v, n, math.factorial(spec.k) * 2 ** spec.k))
         return _signed_sum(spec, u, v, n, signed_permutations(spec.k))
     except ResourceBudgetError:
         if _reachable(spec, u, v, n):
@@ -324,21 +321,25 @@ def _length_count(spec: CompositeSpec, n: int) -> int:
 
 
 def _term_size(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: int,
-               terms: int) -> tuple[int, int, int]:
-    """(ops, integers, bits) for ``_check_work``: ``terms`` signed-sum terms from images of u to v.
+               terms: int) -> int:
+    """The work of ``terms`` signed-sum terms from images of u to v, for ``_check_work``.
 
     The ring (``_ring``) holds 2k^2 rows and, for axis steps, the Pascal rows of at most N bits
     (N = n*degree, C(m, j) <= 2^m) and weights of n*log2(P(1)) bits over L = ``_length_count``
-    lengths, or N + 1 for axis steps.  With one length a term is one unit, each row one
-    ``math.comb`` (``_comb_work``), and each integer held as large as a term, k*N bits more than
-    a weight.  Otherwise a term sums its k shifts and, in reach (``_reachable_images``), makes k
-    ring products: the p-th of p*N- by N-bit rows, past the leading zeros of its p + 1 rows for
-    axis steps, and one by the weights, pointwise; the weights' words are ops."""
+    lengths, or N + 1 for axis steps (``_held_work``).  With one length each row is one
+    ``math.comb`` (``_comb_work``), and a term is one unit and its k - 1 products of ints, the
+    p-th of p*N by N bits, at ``_STREAM_SCALE`` times ``_product_work``'s rate.  Otherwise a
+    term sums its k shifts and, in reach (``_reachable_images``), makes k ring products: the
+    p-th of p*N- by N-bit rows, past the leading zeros of its p + 1 rows for axis steps, and
+    one by the weights, pointwise."""
     k, top, axis = spec.k, n * spec.degree, spec.kind is AtomicKind.AXIS
     size = top + 1 if axis else _length_count(spec, n)
     weight_bits = math.ceil(n * math.log2(sum(spec.weights)))
+    held = _held_work(2 * k * k * size + axis * (k > 1) * size * (size + 1) // 2, top) \
+        + _held_work(size, weight_bits)
     if size == 1:
-        return terms + _comb_work(2 * k * k, top), 2 * k * k + 1, weight_bits + k * top
+        return held + _comb_work(2 * k * k, top) \
+            + terms * (1 + _STREAM_SCALE * (k * (k - 1) // 2 * top * top) // 2 ** 20)
     # one term is in reach (``_reachable``); a count already over the budget counts none
     reachable = min(terms, _reachable_images(u, v, top, operator.add if axis else max)) \
         if 1 < terms and terms * k <= DEFAULT_STATE_BUDGET else terms
@@ -347,8 +348,7 @@ def _term_size(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: i
         axis * min(abs(vj - eps * ui) for ui in u for eps in (1, -1)) for vj in v))
     products = _product_work(False, size, k * top, weight_bits) + sum(
         _product_work(axis, max(0, size - low), p * top, top) for p, low in enumerate(lows[1:], 1))
-    return terms * k + reachable * products + size * (weight_bits // 64 + 1), \
-        2 * k * k * size + axis * (k > 1) * size * (size + 1) // 2, top
+    return held + terms * k + reachable * products
 
 
 def _reachable_images(u: tuple[int, ...], v: tuple[int, ...], top: int, far: Callable) -> int:
@@ -409,7 +409,7 @@ def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
     _check_work("free-endpoint Pfaffian work", sum(len(w) - (0 in w) for w in windows.values())
                 * _product_work(axis, size, top, top)
                 + pfaffian * _product_work(axis, size, 2 * top, max(2, order - 2) * top)
-                + ((5 * reach + 7) * size + axis * size * (size + 1) // 2) * (top // 4096 + 1)
+                + _held_work((5 * reach + 7) * size + axis * size * (size + 1) // 2, top)
                 + (size == 1) * _comb_work(reach + 1, top))
     weights, ring, product = _ring(spec, n, range(reach + 1))
     rows = [*ring.values(), [0] * len(weights)]

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from chamberwalk.asym import AsymptoticEstimate, _log_factorial_odd, _squared_difference_product
-from chamberwalk.stepmodel import AtomicKind, CompositeSpec, check_chamber_point
+from chamberwalk.stepmodel import AtomicKind, CompositeSpec, check_chamber_point, check_walk_length
 
 # name: (atomic kind, weights, fixed end point?, composite steps per unit of n).  A walk
 # starts by default at the wall, the chamber's lowest lattice point (walker heights shifted
@@ -48,9 +48,8 @@ class PresetInstance:
         return self.v is None
 
     def steps(self, n: int) -> int:
-        if n < 0:  # checked before scaling: the error quotes the n typed
-            raise ValueError(f"walk length n must be >= 0, got {n}")
-        return self.length_scale * n
+        # checked before scaling: the error quotes the n typed
+        return self.length_scale * check_walk_length(n)
 
 
 def preset_spec(name: str, k: int, u: Optional[Sequence[int]] = None,
@@ -93,8 +92,7 @@ def _free_endpoint_log(u: Sequence[int]) -> float:
 
 def preset_asym(instance: PresetInstance, n: int) -> AsymptoticEstimate:
     """Leading term of the preset's specialized asymptotic formula (log space); none at n = 0."""
-    if n < 0:
-        raise ValueError(f"walk length n must be >= 0, got {n}")
+    check_walk_length(n)
     k = instance.spec.k
     name = instance.name
     u, v = instance.u, instance.v

@@ -192,3 +192,10 @@ def check_chamber_point(spec: CompositeSpec, coords: Sequence[int]) -> tuple[int
     if not lattice_contains(spec, coords):
         raise ValueError(f"{tuple(coords)} is not on the walk lattice")
     return pt
+
+
+def check_walk_length(n: int) -> int:
+    """Validate a walk length; returns it."""
+    if n < 0:
+        raise ValueError(f"walk length n must be >= 0, got {n}")
+    return n

@@ -3,11 +3,13 @@
 The commands are bench operations at seed 1 (reflection, free-endpoint and DP
 counts), counts at the edge of the work budget (the axis signed sum at k = 3
 from (1, 2, 3) back to itself, answered at n = 48, where the layer walk of
-earlier versions was refused, and first refused at n = 484, n = 483 being 0 by
-the step parity, its ring products priced as the free-endpoint Pfaffian's; the
-lock-step DP refused just over it; two answered just under it; random turns at
-k = 2, n = 400000, refused at once since each row's ``math.comb`` is charged by
-its growth), an axis count at k = 1, n = 2236
+earlier versions was refused, and first refused at n = 504, n = 503 being 0 by
+the step parity, its ring products and held integers priced as the free-endpoint
+Pfaffian's; the lock-step DP refused just over it; two answered just under it;
+random turns at k = 2, n = 400000, refused at once since each row's
+``math.comb`` is charged by its growth; lock-step at k = 7, n = 2000, refused at
+once since each streamed term is charged its products of ints by their bit
+sizes), an axis count at k = 1, n = 2236
 that the layer walk refused and the diagonal steps of the rotated route
 answer, a preset, a compare grid, a budget refusal,
 a DP count whose end point is exactly n*degree steps away, presets at their
@@ -60,10 +62,12 @@ GOLDEN = [
      "8cde991c7d2777784827f6953c5fdc05baa506c9255eb09ad237b51adec1df27"),
     ("count --kind axis --k 3 --weights 0,1 --u 1,2,3 --v 1,2,3 --n 48 --method reflection",
      "f4a847684ff0ab05ef6cbd81dc3622828d56eedbb5e5d31fd907883052d8b428"),
-    ("count --kind axis --k 3 --weights 0,1 --u 1,2,3 --v 1,2,3 --n 484 --method reflection",
-     "bf09f931516acdbdba22279f3869141f5e8cce021e17d13ad24c9f43a4eca9e8"),
+    ("count --kind axis --k 3 --weights 0,1 --u 1,2,3 --v 1,2,3 --n 504 --method reflection",
+     "50a671d3dc6aef9cd0a7323fec0488043d8f3cc9443788d48f6fca8821577ddf"),
     ("preset random-turns-fixed --k 2 --n 400000",
-     "861eff03d0a7cd6145abf3e6caf1b789a63b60a2412730734b0090c61af52abf"),
+     "e8acba0adf245ca31f89fe58a04d4110665e12923644e6cc42d5d51e3d17d0c3"),
+    ("preset lock-step-fixed --k 7 --n 2000",
+     "82c3200a826c08e2c6c8c53821812835af6104c8ac89860234cd8e060e50810e"),
     ("count --kind axis --k 3 --weights 0,1 --u 1,2,3 --v 1,2,4 --n 77 --method dp",
      "ba4af855a4ae79420d2d4ec9163f51fc9ba38b5303d474b10c50a6ddc9133559"),
     ("preset tangled-isolated --k 2 --n 12",

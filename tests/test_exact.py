@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -436,9 +437,9 @@ def test_deep_axis_reflection():
     with mock.patch.object(exact, "_pascal_rows", side_effect=AssertionError):
         assert exact.count_unconstrained(RT_1, (1,), (1,), n) == math.comb(n, n // 2)
     # one term: 1 to draw, and its dot with the weights, a pointwise ring product of n + 1
-    # entries, 2 to call; n + 1 weights of one word; 2k^2 = 2 rows of n + 1 entries of n bits,
-    # and no Pascal row
-    assert exact._term_size(RT_1, (1,), (1,), n, 1) == (2 * n + 5, 2 * (n + 1), n)
+    # entries, 2 to call; held, one unit an entry per 4096 bits: 2k^2 = 2 rows of n + 1
+    # entries of n bits and n + 1 weights, and no Pascal row
+    assert exact._term_size(RT_1, (1,), (1,), n, 1) == 4 * n + 7
 
 
 @settings(deadline=None, max_examples=80)
@@ -694,7 +695,7 @@ _LONG_LOCKSTEP = CompositeSpec(AtomicKind.DIAGONAL, 1, [0, 1])
                                     (1, 2, 3), (1, 2, 3), 400)),
     ("axis kernel work",
      lambda: exact.count_unconstrained(CompositeSpec(AtomicKind.AXIS, 3, [1, 1, 1]),
-                                       (1, 2, 3), (1, 2, 3), 600)),
+                                       (1, 2, 3), (1, 2, 3), 1200)),
     ("free-endpoint Pfaffian work",
      lambda: exact.count_reflection_free(CompositeSpec(AtomicKind.AXIS, 2, [1, 1, 1]),
                                          (1, 2), 10000)),
@@ -747,25 +748,25 @@ def test_signed_sum_cost_bounds_the_lengths_without_expanding(weights, n):
     bound = exact._length_count(ints, n)
     # an end point the step parity allows: any other is answered 0, not priced
     v = (1, 3) if spec.parity_allows((1, 3), (1, 3), n) else (2, 4)
-    ops, integers, bits = exact._term_size(ints, (1, 3), v, n, 8)
+    work = exact._term_size(ints, (1, 3), v, n, 8)
     assert bound >= lengths
     top = n * spec.degree
-    if bound == 1:  # 8 streamed terms, one unit each, 8 rows of one math.comb, 9 integers
-        assert ops == 8 + (top // 64 + 1) ** 2 and integers == 9
+    weight_bits = math.ceil(n * math.log2(sum(ints.weights)))
+    # held, one unit an entry per 4096 bits: 8 rows of N-bit integers and the weights, over
+    # every length
+    held = 8 * bound * (top // 4096 + 1) + bound * (weight_bits // 4096 + 1)
+    if bound == 1:  # 8 rows of one math.comb; 8 streamed terms, each a unit and a product
+        assert work == held + (top // 64 + 1) ** 2 \
+            + 8 * (1 + exact._STREAM_SCALE * top * top // 2 ** 20)
     else:
-        # 8 terms drawn, 2 units each; each in reach two ring products over every length; the
-        # weights' words; 8 rows of integers over every length
-        weight_bits = math.ceil(n * math.log2(sum(ints.weights)))
+        # 8 terms drawn, 2 units each; each in reach two ring products over every length
         reachable = sum(max(abs(vj - eps * (1, 3)[i]) for vj, (i, eps) in zip(v, image)) <= top
                         for image, _ in exact.signed_permutations(2))
         products = exact._product_work(False, bound, top, top) \
             + exact._product_work(False, bound, 2 * top, weight_bits)
-        words = bound * (weight_bits // 64 + 1)
-        assert ops == 16 + reachable * products + words and integers == 8 * bound
+        assert work == held + 16 + reachable * products
         # a count over the budget, as under ``_estimate``'s, does not count the terms in reach
-        ops = 16 + 8 * products + words
-    # plus the kernel's words
-    work = ops + integers * (bits // 64 + 1)
+        work = held + 16 + 8 * products
     assert _estimate(lambda: exact.count_reflection(spec, (1, 3), v, n)) == work
     weighted = [m for m, w in enumerate(spec.weights) if w]
     if len({b - a for a, b in zip(weighted, weighted[1:])}) <= 1:
@@ -775,34 +776,35 @@ def test_signed_sum_cost_bounds_the_lengths_without_expanding(weights, n):
 
 @pytest.mark.parametrize("n,over", [(14, False), (20000, True), (10 ** 6, True)])
 def test_kernel_words_weigh_the_bit_size(n, over):
-    """The diagonal kernel's work charges its integers, in 64-bit words, and its products by
-    the size of the integers they multiply."""
+    """The diagonal kernel's work charges its integers, one unit an entry per 4096 bits, and
+    its products by the size of the integers they multiply."""
     spec = CompositeSpec(AtomicKind.DIAGONAL, 2, [0, 1, 1])
     # L = n + 1 lengths, so no math.comb is charged.  A term: 2 to draw, a product of 2n- by
-    # 2n-bit rows and one of the 4n-bit product by the n-bit weights.  The words of the L
-    # weights and of the 2k^2*L row entries of at most N = n*degree = 2n bits
+    # 2n-bit rows and one of the 4n-bit product by the n-bit weights.  Held: the L weights and
+    # the 2k^2*L row entries of at most N = n*degree = 2n bits
     products = exact._product_work(False, n + 1, 2 * n, 2 * n) \
         + exact._product_work(False, n + 1, 4 * n, n)
-    weights = (n + 1) * (n // 64 + 1)
-    assert exact._term_size(spec, (1, 3), (1, 3), n, 8) \
-        == (16 + 8 * products + weights, 8 * (n + 1), 2 * n)
-    words = weights + 8 * (n + 1) * ((2 * n) // 64 + 1)
+    held = (n + 1) * (n // 4096 + 1) + 8 * (n + 1) * ((2 * n) // 4096 + 1)
+    assert exact._term_size(spec, (1, 3), (1, 3), n, 8) == 16 + 8 * products + held
     work = _estimate(lambda: exact.count_reflection(spec, (1, 3), (1, 3), n))
-    assert work == 16 + 8 * products + words
+    assert work == 16 + 8 * products + held
     assert _estimate(lambda: exact.count_unconstrained(spec, (1, 3), (1, 3), n)) \
-        == 2 + products + words
+        == 2 + products + held
     assert (work > exact.DEFAULT_STATE_BUDGET) is over
 
 
-@pytest.mark.parametrize("n,over", [(50000, False), (201790, False), (201792, True),
+@pytest.mark.parametrize("n,over", [(50000, False), (192126, False), (192128, True),
                                     (400000, True)])
 def test_one_length_rows_charge_their_math_comb(n, over):
     """Random turns at k = 2 run as lock-step steps with the one atomic length n: each of the
-    8 rows is one math.comb(n, .), whose time grows as about n^1.8, charged (n/64 + 1)^2/8."""
+    8 rows is one math.comb(n, .), whose time grows as about n^1.8, charged (n/64 + 1)^2/8,
+    and each of the 8 terms one unit and its product of two n-bit ints."""
     spec = CompositeSpec(AtomicKind.AXIS, 2, [0, 1])
-    # 8 terms of one length, 8 math.comb, and 9 integers of 2n bits
+    # 8 math.comb; 8 terms; held, one unit an entry per 4096 bits: 8 rows of n bits and the
+    # weight P(1)^n = 1
     work = _estimate(lambda: exact.count_reflection(spec, (1, 2), (1, 2), n))
-    assert work == 8 + (n // 64 + 1) ** 2 + 9 * (2 * n // 64 + 1)
+    assert work == (n // 64 + 1) ** 2 + 8 * (1 + exact._STREAM_SCALE * n * n // 2 ** 20) \
+        + 8 * (n // 4096 + 1) + 1
     assert (work > exact.DEFAULT_STATE_BUDGET) is over
 
 
@@ -953,10 +955,12 @@ def test_axis_work_bounds_the_convolutions(kind, weights, k, n, data):
     at k = 2, 3, whose rows multiply pointwise over one or several lengths.
 
     counted is the work the kernel must do.  With one length: one unit a term, and one per
-    integer held.  Otherwise: k units to draw each term and sum its shifts; per term in
-    reach, its k - 1 ring products (``_ring_product_work``) and its dot with the weights,
-    2 to call and one per length; one per entry of the 2k^2 rows, of the weights and of the
-    Pascal rows.  At these lengths no integer has over 64 bits, so each is a word.
+    integer held (its products, under a unit at these lengths, are counted by
+    ``test_stream_work_bounds_the_products``).  Otherwise: k units to draw each term and sum
+    its shifts; per term in reach, its k - 1 ring products (``_ring_product_work``) and its
+    dot with the weights, 2 to call and one per length; one per entry of the 2k^2 rows, of
+    the weights and of the Pascal rows.  At these lengths no integer has over 4096 bits, so
+    each is one unit.
     """
     k -= kind is AtomicKind.DIAGONAL
     spec = _spec(kind, k, weights)
@@ -976,9 +980,58 @@ def test_axis_work_bounds_the_convolutions(kind, weights, k, n, data):
         made = len(products) // (k - 1)
         counted = terms + held if size == 1 \
             else terms * k + made * (2 + size) + sum(products) + held
-        ops, integers, bits = exact._term_size(ints, u, v, n, terms)
-        estimate = ops + integers * (bits // 64 + 1)
+        estimate = exact._term_size(ints, u, v, n, terms)
         assert counted <= estimate <= AXIS_WORK_SLACK * (counted + 1), (terms, made)
+
+
+def _stream_product_work(route):
+    """The work of the integer products the one-length stream makes while ``route`` runs: for
+    each ``math.prod`` call, ``_STREAM_SCALE`` times ``_product_work``'s rate ab/2^20 summed
+    over its products, each of the running product by the next factor at their bit lengths."""
+    counted = []
+
+    def counting(factors):
+        factors = list(factors)
+        running = itertools.accumulate(factors, operator.mul)
+        counted.append(exact._STREAM_SCALE * sum(
+            abs(a).bit_length() * abs(b).bit_length() for a, b in zip(running, factors[1:]))
+            // 2 ** 20)
+        return prod(factors)
+
+    prod = math.prod
+    with mock.patch.object(math, "prod", counting):
+        route()
+    return sum(counted)
+
+
+# the largest estimate/counted ratio seen over STREAM_WEIGHTS, k <= 5, n <= 60 and the
+# examples below is about 1.5
+STREAM_WORK_SLACK = 4
+STREAM_WEIGHTS = ["0,1", "0,0,2", "0,1/3", "0,0,0,1", "0,0,1/2"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(weights=st.sampled_from(STREAM_WEIGHTS), k=st.integers(1, 5), n=st.integers(0, 60),
+       data=st.data())
+@example(weights="0,1", k=4, n=3000, data=None)
+@example(weights="0,0,2", k=5, n=1500, data=None)
+def test_stream_work_bounds_the_products(weights, k, n, data):
+    """counted <= estimate <= C*(counted + 1) for the signed sum of one atomic length, streamed.
+
+    counted is the work the stream must do: one unit a term, each term's k - 1 products of
+    ints at their bit lengths (``_stream_product_work``), and one per integer held, the 2k^2
+    rows and the weight.  The examples reach lengths where the products cost many units.
+    """
+    spec = _spec(AtomicKind.DIAGONAL, k, weights)
+    u = v = tuple(range(1, 2 * k, 2))
+    if data is not None:
+        u, v = (_chamber_point(data, AtomicKind.DIAGONAL, k) for _ in "uv")
+    assume(exact._reachable(spec, u, v, n))  # else answered 0, not priced
+    route = lambda: exact.count_reflection(spec, u, v, n)  # noqa: E731
+    terms = math.factorial(k) * 2 ** k
+    counted = terms + _stream_product_work(route) + 2 * k * k + 1
+    estimate = _estimate(route)
+    assert counted <= estimate <= STREAM_WORK_SLACK * (counted + 1)
 
 
 # the largest estimate/counted ratio seen over both kinds, WEIGHT_LISTS, k <= 8

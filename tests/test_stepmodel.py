@@ -12,6 +12,7 @@ from chamberwalk.stepmodel import (
     AtomicKind,
     CompositeSpec,
     check_chamber_point,
+    check_walk_length,
     curvature,
     in_chamber,
     lattice_contains,
@@ -155,6 +156,25 @@ class TestChamberPredicates:
             check_chamber_point(axis(2, [0, 1]), (2, 1))
         with pytest.raises(ValueError):
             check_chamber_point(axis(2, [0, 1]), (1,))
+
+    def test_every_entry_checks_the_walk_length_alike(self):
+        """One check and one message for a negative n, at every entry that takes a length."""
+        from chamberwalk import asym, exact, presets
+
+        assert check_walk_length(0) == 0 and check_walk_length(7) == 7
+        spec = diag(2, [0, 1])
+        inst = presets.preset_spec("lock-step-fixed", 2)
+        entries = [lambda n: check_walk_length(n),
+                   lambda n: exact.count_reflection(spec, (1, 3), (1, 3), n),
+                   lambda n: exact.count_confined_free(spec, (1, 3), n),
+                   lambda n: asym.asym_fixed(spec, (1, 3), (1, 3), n),
+                   lambda n: asym.asym_free(spec, (1, 3), n),
+                   inst.steps,
+                   lambda n: presets.preset_asym(inst, n)]
+        for entry in entries:
+            with pytest.raises(ValueError) as err:
+                entry(-3)
+            assert str(err.value) == "walk length n must be >= 0, got -3"
 
 
 def _log_s_along_first_axis(spec, t):
