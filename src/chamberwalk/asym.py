@@ -88,11 +88,14 @@ def _log_factorial_odd(k: int) -> float:
 
 
 def _squared_difference_product(u: Sequence[int]) -> int:
-    prod = 1
-    for j in range(len(u)):
-        for m in range(j + 1, len(u)):
-            prod *= u[m] ** 2 - u[j] ** 2
-    return prod
+    """prod_{j<m} (u_m^2 - u_j^2) by a balanced tree of its C(k, 2) factors, priced 2 units each
+    and two products of half its C(k, 2)*2*bitlen(max u) bits; a running product is quadratic."""
+    half = (pairs := len(u) * (len(u) - 1) // 2) * max(u).bit_length()
+    exact._check_work("end-point factor", 2 * pairs + exact._product_work(False, 2, half, half))
+    factors = [um * um - uj * uj for m, um in enumerate(u) for uj in u[:m]]
+    while len(factors) > 1:
+        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return math.prod(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -102,47 +105,34 @@ def _squared_difference_product(u: Sequence[int]) -> int:
 def asym_fixed(spec: CompositeSpec, u: Sequence[int], v: Sequence[int],
                n: int) -> AsymptoticEstimate:
     """Leading-order estimate of the confined count with both endpoints fixed; none at n = 0."""
-    check_walk_length(n)
-    u = check_chamber_point(spec, u)
-    v = check_chamber_point(spec, v)
-    k = spec.k
-    lam = curvature(spec)
-    n_power = -Fraction(2 * k * k + k, 2)
-    base_log = n * log_exact(s_one(spec))
-    endpoint = _squared_difference_product(u) * _squared_difference_product(v)
-    for uj, vj in zip(u, v):
-        endpoint *= uj * vj
-    constant_log = (
-        math.log(maximal_point_count(spec))
-        + (k / 2) * math.log(2 / math.pi)
-        + float(n_power) * log_exact(lam)
-        + log_exact(endpoint)
-        - _log_factorial_odd(k)
-    )
-    supported = n > 0 and spec.parity_allows(u, v, n)
-    log_value = base_log + float(n_power) * math.log(n) + constant_log if supported else math.nan
-    return AsymptoticEstimate(log_value=log_value, supported=supported)
+    return _leading(spec, u, v, n)
 
 
 def asym_free(spec: CompositeSpec, u: Sequence[int], n: int) -> AsymptoticEstimate:
     """Leading-order estimate of the confined count with a free endpoint; none at n = 0."""
+    return _leading(spec, u, None, n)
+
+
+def _leading(spec: CompositeSpec, u: Sequence[int], v: Optional[Sequence[int]],
+             n: int) -> AsymptoticEstimate:
+    """The formula of the module docstring with the end point v, or a free end for ``v=None``."""
     check_walk_length(n)
-    u = check_chamber_point(spec, u)
-    k = spec.k
+    points = [check_chamber_point(spec, p) for p in (u, v) if p is not None]
+    k, free = spec.k, v is None
     lam = curvature(spec)
-    n_power = -Fraction(k * k, 2)
+    n_power = -Fraction(k * k, 2) if free else -Fraction(2 * k * k + k, 2)
     base_log = n * log_exact(s_one(spec))
-    endpoint = _squared_difference_product(u)
-    for uj in u:
-        endpoint *= uj
+    endpoint = math.prod(_squared_difference_product(p) * math.prod(p) for p in points)
+    # the terms of one end condition only: adding 0.0 keeps every float as summed alone
     constant_log = (
-        (k / 2) * math.log(2 / math.pi)
+        (0.0 if free else math.log(maximal_point_count(spec)))
+        + (k / 2) * math.log(2 / math.pi)
         + float(n_power) * log_exact(lam)
         + log_exact(endpoint)
-        + sum(math.lgamma(j) for j in range(1, k + 1))
+        + (sum(math.lgamma(j) for j in range(1, k + 1)) if free else 0.0)
         - _log_factorial_odd(k)
     )
-    supported = n > 0
+    supported = n > 0 and (free or spec.parity_allows(*points, n))
     log_value = base_log + float(n_power) * math.log(n) + constant_log if supported else math.nan
     return AsymptoticEstimate(log_value=log_value, supported=supported)
 
@@ -170,7 +160,7 @@ def compare_series(spec: CompositeSpec, u: Sequence[int], v: Optional[Sequence[i
     points = max(0, -((grid.start - grid.stop) // grid.step)) if walk else len(grid)
     exact._check_work("comparison grid points", points)
     for n in grid:
-        est = asym_free(spec, u, n) if v is None else asym_fixed(spec, u, v, n)
+        est = _leading(spec, u, v, n)
         if not est.supported:
             continue
         cnt = exact.count_reflection_free(spec, u, n) if v is None \

@@ -74,10 +74,6 @@ def _series_det(entries: Sequence[Sequence[Sequence[Fraction]]], top: int) -> li
 # exact identity checks
 
 
-def _pairs(k: int):
-    return [(j, m) for j in range(k) for m in range(j + 1, k)]
-
-
 def check_typeC_det_identity(z: Sequence[Fraction], half_integer: bool = False) -> IdentityReport:
     """det(t_j^e_m - t_j^-e_m) against its product evaluation.
 
@@ -95,7 +91,8 @@ def check_typeC_det_identity(z: Sequence[Fraction], half_integer: bool = False) 
     s = [x * x for x in t] if half_integer else t
     lhs = det_exact([[x ** e - x ** -e for e in exponents] for x in t])
     rhs = math.prod(x ** -exponents[-1] * (x * x - 1) for x in t) \
-        * math.prod((s[j] - s[m]) * (1 - s[j] * s[m]) for j, m in _pairs(k))
+        * math.prod((s[j] - s[m]) * (1 - s[j] * s[m])
+                    for j, m in itertools.combinations(range(k), 2))
     return IdentityReport("typeC-det-half" if half_integer else "typeC-det",
                           {"z": [str(x) for x in z], "k": k}, lhs - rhs)
 
@@ -133,7 +130,7 @@ def quotient_identity_check(z: Sequence[Fraction]) -> IdentityReport:
     k = len(z)
     if any(x in (0, 1, -1) for x in z):
         raise ValueError("coordinates must avoid 0 and +-1")
-    if len(set(z)) < k or any(z[j] * z[m] == 1 for j, m in _pairs(k)):
+    if len(set(z)) < k or any(z[j] * z[m] == 1 for j, m in itertools.combinations(range(k), 2)):
         raise ValueError("pole configuration: coordinates must be distinct with z_j z_m != 1")
     num = det_exact([[x ** m for m in range(1, k + 1)] for x in z])
     num *= det_exact([[x ** -m for m in range(1, k + 1)] for x in z])
@@ -142,7 +139,7 @@ def quotient_identity_check(z: Sequence[Fraction]) -> IdentityReport:
     rhs = Fraction(1)
     for x in z:
         rhs /= x - 1 / x
-    for j, m in _pairs(k):
+    for j, m in itertools.combinations(range(k), 2):
         rhs *= (2 - z[m] / z[j] - z[j] / z[m])
         rhs /= (z[m] + 1 / z[m] - z[j] - 1 / z[j])
     return IdentityReport("symplectic-quotient", {"z": [str(x) for x in z], "k": k}, lhs - rhs)
@@ -193,7 +190,7 @@ def dsin_leading_ratio(u: Sequence[int], phi_direction: Sequence[Fraction]) -> I
         raise ValueError("u and the direction must each have k distinct nonzero squares")
     low = k * (k - 1) // 2
     leading = Fraction((-1) ** low * math.prod(u), _odd_factorial_prod(k)) * math.prod(d)
-    for j, m in _pairs(k):
+    for j, m in itertools.combinations(range(k), 2):
         leading *= (d[m] ** 2 - d[j] ** 2) * (u[m] ** 2 - u[j] ** 2)
     entries = [[[x * (-x * x) ** r / math.factorial(2 * r + 1) for r in range(low + 2)]
                 for x in (um * dj for um in u)] for dj in d]
@@ -215,7 +212,8 @@ def gaussian_kernel_det_ratio(k: int) -> IdentityReport:
     x = range(1, k + 1)
     low = k * k
     leading = Fraction(2 ** (low + k), _odd_factorial_prod(k)) \
-        * (math.factorial(k) * math.prod(x[m] ** 2 - x[j] ** 2 for j, m in _pairs(k))) ** 2
+        * (math.factorial(k) * math.prod(x[m] ** 2 - x[j] ** 2
+                                         for j, m in itertools.combinations(range(k), 2))) ** 2
     entries = [[[Fraction((-(i - j) ** 2) ** r - (-(i + j) ** 2) ** r, math.factorial(r))
                  for r in range(low + 2)] for j in x] for i in x]
     expected = [0] * low + [leading, leading * Fraction(-k * (k + 1) * (2 * k + 1), 3)]
@@ -289,7 +287,7 @@ def selberg_check(k: int, weight: str, which: str) -> IdentityReport:
     target = _selberg_rational(k, weight)
     unit = [tuple(int(i == m) for m in range(k)) for i in range(k)]
     poly = {(0,) * k: 1}
-    for j, m in _pairs(k):
+    for j, m in itertools.combinations(range(k), 2):
         diff = {unit[m]: 1, unit[j]: -1}
         poly = _poly_mul(_poly_mul(poly, diff), diff)
     if which == "aomoto":

@@ -26,6 +26,7 @@ intermediate atomic position inside a composite step must stay strictly inside t
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import inspect
@@ -47,10 +48,11 @@ _STREAM_SCALE = Fraction(7, 2)
 
 
 class ResourceBudgetError(RuntimeError):
-    """The work ``what`` of an exact route, estimated at ``estimate``, exceeds ``budget``."""
+    """The work ``what``, estimated at ``estimate`` (printed by ``Decimal``, which has no
+    int-to-str length limit), exceeds ``budget``."""
 
     def __init__(self, what: str, estimate: int, budget: int):
-        super().__init__(f"{what}: estimate {estimate} exceeds budget of {budget}")
+        super().__init__(f"{what}: estimate {Decimal(estimate)} exceeds budget of {budget}")
         self.what, self.estimate, self.budget = what, estimate, budget
 
 
@@ -343,9 +345,11 @@ def _term_size(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: i
     # one term is in reach (``_reachable``); a count already over the budget counts none
     reachable = min(terms, _reachable_images(u, v, top, operator.add if axis else max)) \
         if 1 < terms and terms * k <= DEFAULT_STATE_BUDGET else terms
-    # leading zeros a convolution skips; a pointwise product skips none
+    # leading zeros a convolution skips, v_j's distance to the nearest eps*u_i; a pointwise none
+    images = sorted(eps * ui for ui in u for eps in (1, -1))
+    near = map(functools.partial(bisect.bisect, images), v)
     lows = list(itertools.accumulate(
-        axis * min(abs(vj - eps * ui) for ui in u for eps in (1, -1)) for vj in v))
+        axis * min(abs(vj - x) for x in images[max(0, i - 1):i + 1]) for vj, i in zip(v, near)))
     products = _product_work(False, size, k * top, weight_bits) + sum(
         _product_work(axis, max(0, size - low), p * top, top) for p, low in enumerate(lows[1:], 1))
     return held + terms * k + reachable * products
@@ -401,13 +405,13 @@ def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
     k, top, axis = spec.k, n * spec.degree, spec.kind is AtomicKind.AXIS
     # a convolution mixes the lengths, so axis vectors take every m <= N
     reach, order, size = min(top, max(u)), k + k % 2, top + 1 if axis else _length_count(spec, n)
-    windows = {(ui, uj): range(max(min(0, ui - uj), ui - top), min(ui + uj, ui + top) + 1)
-               for ui in u for uj in u if ui != uj}
-    # work: the windows' products of N-bit rows; the Pfaffian's, one an entry of its C(K - d, d)
-    # minors of order K - 2d > 2, 2N- by (K - 2)N-bit; entries held per 4096 bits; math.combs
+    # work: the windows' products of N-bit rows, ``points`` (c = min(u, N): u_i's window by a
+    # larger u_j holds 2c_j + 1, by a smaller c_i + c_j + 1, less x = 0 if u_i <= N); the
+    # Pfaffian's, one an entry of its C(K - d, d) minors of order K - 2d > 2, 2N- by (K - 2)N-bit;
+    # entries held per 4096 bits; math.combs
+    points = sum(min(ui, top) * (k - 1 + 2 * i) + (k - 1) * (ui > top) for i, ui in enumerate(u))
     pfaffian = sum(math.comb(order - d, d) * (order - 2 * d - 1) for d in range(order // 2 - 1))
-    _check_work("free-endpoint Pfaffian work", sum(len(w) - (0 in w) for w in windows.values())
-                * _product_work(axis, size, top, top)
+    _check_work("free-endpoint Pfaffian work", points * _product_work(axis, size, top, top)
                 + pfaffian * _product_work(axis, size, 2 * top, max(2, order - 2) * top)
                 + _held_work((5 * reach + 7) * size + axis * size * (size + 1) // 2, top)
                 + (size == 1) * _comb_work(reach + 1, top))
@@ -424,9 +428,10 @@ def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
 
     def signed(ui, uj):  # S_ij: r(x - u_i) by its rows r(d), d <= u_i for x > 0, minus d >= u_i
         wall, below = ([2 * c for c in at(prefix, d)] for d in (ui, ui - 1))
+        window = range(max(min(0, ui - uj), ui - top), min(ui + uj, ui + top) + 1)
         return map(sum, zip(*[product(rows[abs(x - ui)], list(map(operator.sub, *(
             (at(doubled, x + uj) if x + uj <= ui else wall, at(doubled, x - uj)) if x > 0
-            else (below, at(doubled, x + uj)))))) for x in windows[ui, uj] if x]))
+            else (below, at(doubled, x + uj)))))) for x in window if x]))
 
     entries = {(i, j): [(s - t) // 2 for s, t in zip(signed(u[i], u[j]), signed(u[j], u[i]))]
                for i in range(k) for j in range(i + 1, k)}

@@ -99,15 +99,16 @@ def preset_asym(instance: PresetInstance, n: int) -> AsymptoticEstimate:
     log2, logpi = math.log(2), math.log(math.pi)
 
     odd = tuple(2 * j - 1 for j in range(1, k + 1))
+    # for random turns, the exponent on k/n = S/(n S'') with a free end is k^2/2, as the k=1
+    # central binomial benchmark confirms
+    n_power = -Fraction(k * k, 2) if instance.free_endpoint else -Fraction(2 * k * k + k, 2)
 
     if name == "lock-step-fixed":
-        n_power = -Fraction(2 * k * k + k, 2)
         base_log = n * k * log2
         constant_log = (3 * k / 2) * log2 - (k / 2) * logpi \
             + _fixed_endpoint_log(u, v) - _log_factorial_odd(k)
     elif name == "watermelon":
         # n counts half-lengths: 2n composite steps
-        n_power = -Fraction(2 * k * k + k, 2)
         base_log = n * k * math.log(4)
         if u == odd and v == odd:
             constant_log = (k * k - k) * log2 - (k / 2) * logpi + _log_factorial_odd(k)
@@ -118,11 +119,9 @@ def preset_asym(instance: PresetInstance, n: int) -> AsymptoticEstimate:
                 + _fixed_endpoint_log(u, v) - _log_factorial_odd(k) \
                 + float(n_power) * math.log(2)
     elif name == "lock-step-free":
-        n_power = -Fraction(k * k, 2)
         base_log = n * k * log2
         constant_log = (k / 2) * log2 - (k / 2) * logpi + _free_endpoint_log(u)
     elif name == "star":
-        n_power = -Fraction(k * k, 2)
         base_log = n * k * log2
         if u == odd:
             constant_log = (k * k - k / 2) * log2 - (k / 2) * logpi \
@@ -130,21 +129,16 @@ def preset_asym(instance: PresetInstance, n: int) -> AsymptoticEstimate:
         else:
             constant_log = (k / 2) * log2 - (k / 2) * logpi + _free_endpoint_log(u)
     elif name == "random-turns-fixed":
-        n_power = -Fraction(2 * k * k + k, 2)
         base_log = n * math.log(2 * k)
         constant_log = log2 + (k / 2) * (log2 - logpi) \
             + (k * k + k / 2) * math.log(k) \
             + _fixed_endpoint_log(u, v) - _log_factorial_odd(k)
     elif name == "random-turns-free":
-        # the exponent on k/n = S/(n S'') is k^2/2, as the k=1 central
-        # binomial benchmark confirms
-        n_power = -Fraction(k * k, 2)
         base_log = n * math.log(2 * k)
         constant_log = (k / 2) * (log2 - logpi) + (k * k / 2) * math.log(k) \
             + _free_endpoint_log(u)
     elif name in ("tangled-isolated", "tangled-no-isolated"):
         s1 = 1 + 2 * k + 4 * k * k if name == "tangled-isolated" else 2 * k + 4 * k * k
-        n_power = -Fraction(2 * k * k + k, 2)
         base_log = n * math.log(s1)
         # at the default endpoints u = v = (1..k) the endpoint factor
         # collapses to prod (2j-1)!, matching the printed forms

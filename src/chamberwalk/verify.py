@@ -14,15 +14,11 @@ from typing import Callable, Sequence
 from chamberwalk import asym, detlab, exact, presets
 from chamberwalk.stepmodel import CompositeSpec, lattice_contains, maximal_points
 
-SUITES = ("oracle", "det", "schur", "selberg", "dsin", "signs", "consistency")
-
 
 def run_suite(name: str, seed: int) -> list[dict]:
-    try:
-        fn = _SUITE_FNS[name]
-    except KeyError:
-        raise ValueError(f"unknown suite {name!r}") from None
-    return fn(seed)
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return SUITES[name](seed)
 
 
 def suite_passed(records: Sequence[dict]) -> bool:
@@ -33,17 +29,17 @@ def suite_passed(records: Sequence[dict]) -> bool:
 # helpers
 
 
-def random_chamber_point(rng: random.Random, spec: CompositeSpec, span: int = 8) -> tuple[int, ...]:
-    """A random lattice point strictly inside the chamber."""
+def random_chamber_point(rng: random.Random, spec: CompositeSpec) -> tuple[int, ...]:
+    """A random lattice point strictly inside the chamber, below 2k + 8."""
     while True:
-        coords = sorted(rng.sample(range(1, span + spec.k * 2), spec.k))
+        coords = sorted(rng.sample(range(1, 8 + spec.k * 2), spec.k))
         pt = tuple(coords)
         if len(set(pt)) == spec.k and lattice_contains(spec, pt):
             return pt
 
 
-def random_fraction(rng: random.Random, lo: int = -9, hi: int = 9) -> Fraction:
-    num = rng.randint(lo, hi)
+def random_fraction(rng: random.Random, lo: int = -9) -> Fraction:
+    num = rng.randint(lo, 9)
     den = rng.randint(1, 9)
     return Fraction(num, den)
 
@@ -192,7 +188,7 @@ def suite_consistency(seed: int) -> list[dict]:
     return records
 
 
-_SUITE_FNS: dict[str, Callable[[int], list[dict]]] = {
+SUITES: dict[str, Callable[[int], list[dict]]] = {
     "oracle": suite_oracle,
     "det": suite_det,
     "schur": suite_schur,

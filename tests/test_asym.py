@@ -1,15 +1,24 @@
 """Asymptotic evaluators, the parity rule they take as support, convergence fitting."""
 
+import hashlib
+import itertools
 import math
+import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from chamberwalk import asym, exact
+from chamberwalk import asym, exact, presets
 from chamberwalk.stepmodel import AtomicKind, CompositeSpec
 
 LOCKSTEP_1 = CompositeSpec(AtomicKind.DIAGONAL, 1, [0, 1])
 LOCKSTEP_2 = CompositeSpec(AtomicKind.DIAGONAL, 2, [0, 1])
 RT_2 = CompositeSpec(AtomicKind.AXIS, 2, [0, 1])
+
+
+def RT_K(k):
+    return CompositeSpec(AtomicKind.AXIS, k, [0, 1])
 
 
 class TestSupport:
@@ -46,7 +55,6 @@ class TestLogExact:
         assert asym.log_exact(x) == pytest.approx(5000 * math.log(3), rel=1e-12)
 
     def test_fraction(self):
-        from fractions import Fraction
         assert asym.log_exact(Fraction(3, 7)) == pytest.approx(math.log(3 / 7))
 
     def test_nonpositive(self):
@@ -90,6 +98,73 @@ class TestFreeEndpoint:
         cnt = exact.count_reflection_free(LOCKSTEP_2, (1, 3), 64)
         est = asym.asym_free(LOCKSTEP_2, (1, 3), 64)
         assert math.exp(asym.log_exact(cnt) - est.log_value) == pytest.approx(1.0, abs=0.1)
+
+
+class TestLeadingOrder:
+    def test_every_log_value_is_pinned(self):
+        """600 estimates, both kinds, k <= 4, five weight lists, n in {0, 1, 7, 100, 5000}: a
+        fixed end at the wall u and at 2u + 1, and a free end; repr of each log_value."""
+        values = []
+        for kind, k, weights, n in itertools.product(
+                AtomicKind, range(1, 5), ("0,1", "1,1,1", "0,1,1", "1/2,1/3", "2,0,3"),
+                (0, 1, 7, 100, 5000)):
+            spec = CompositeSpec(kind, k, [Fraction(w) for w in weights.split(",")])
+            gap = 2 if kind is AtomicKind.DIAGONAL else 1
+            u = tuple(range(1, gap * k + 1, gap))
+            v = tuple(2 * x + 1 for x in u)
+            values += [repr(est.log_value) for est in (
+                asym.asym_fixed(spec, u, u, n), asym.asym_fixed(spec, u, v, n),
+                asym.asym_free(spec, u, n))]
+        assert len(values) == 600
+        assert hashlib.sha256("\n".join(values).encode()).hexdigest() \
+            == "d8951758fff2a86c5295803192351688bd447e8313750590bd5fed8a313c76d5"
+
+
+class TestEndPointFactor:
+    @pytest.mark.parametrize("u", [(1,), (1, 2), (2, 3, 7), (1, 4, 5, 9, 12), tuple(range(1, 40)),
+                                   tuple(range(3, 300, 7))])
+    def test_the_balanced_tree_is_the_running_product(self, u):
+        running = 1
+        for j in range(len(u)):
+            for m in range(j + 1, len(u)):
+                running *= u[m] ** 2 - u[j] ** 2
+        assert asym._squared_difference_product(u) == running
+
+    @pytest.mark.parametrize("k", [2, 10, 100, 400])
+    def test_the_price_bounds_the_tree(self, k):
+        """A unit a factor made, and each product of the tree at the pointwise rate of
+        ``_product_work``, ab/2^20 + 1 for a- by b-bit ints: counted <= price <= 4(counted + 1)
+        (largest ratio seen 1.36, at k = 400)."""
+        u = tuple(range(1, k + 1))
+        factors = [um * um - uj * uj for m, um in enumerate(u) for uj in u[:m]]
+        counted = len(factors)
+        while len(factors) > 1:
+            pairs = [factors[i:i + 2] for i in range(0, len(factors), 2)]
+            counted += sum(a.bit_length() * b.bit_length() // 2 ** 20 + 1
+                           for a, b in (p for p in pairs if len(p) == 2))
+            factors = [math.prod(p) for p in pairs]
+        with mock.patch.object(exact, "DEFAULT_STATE_BUDGET", -1), \
+                pytest.raises(exact.ResourceBudgetError) as err:
+            asym._squared_difference_product(u)
+        assert factors[0].bit_length() <= k * (k - 1) * k.bit_length()
+        assert counted <= err.value.estimate <= 4 * (counted + 1)
+
+    @pytest.mark.parametrize("estimate", [
+        lambda u: asym.asym_fixed(RT_K(len(u)), u, u, 10),
+        lambda u: asym.asym_free(RT_K(len(u)), u, 10),
+        lambda u: presets.preset_asym(presets.preset_spec("random-turns-fixed", len(u)), 1),
+    ], ids=["fixed", "free", "preset"])
+    def test_refused_before_the_product_is_formed(self, estimate):
+        """At k = 1000 the 499 500 factors of u = (1, ..., 1000) are priced, not multiplied."""
+        u = tuple(range(1, 1001))
+        tracemalloc.start()
+        try:
+            with pytest.raises(exact.ResourceBudgetError, match="end-point factor: estimate"):
+                estimate(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestConvergence:

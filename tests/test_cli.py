@@ -62,6 +62,10 @@ def _odd(k):
     return ",".join(str(2 * j + 1) for j in range(k))
 
 
+def _wall(k):
+    return ",".join(str(j) for j in range(1, k + 1))
+
+
 class TestCount:
     def test_catalan(self):
         res = run("count", "--kind", "diagonal", "--k", "1", "--weights", "0,1",
@@ -449,9 +453,20 @@ class TestErrorContract:
           "--u", "1", "--n", "20000", "--method", "dp"), 3),
         (("compare", "--kind", "diagonal", "--k", "1", "--weights", "0,1",
           "--u", "1", "--v", "1", "--grid", "1:1000000000000:1"), 3),
+        (("asym", "--kind", "axis", "--k", "1000", "--weights", "0,1",
+          "--u", _wall(1000), "--v", _wall(1000), "--n", "10"), 3),
+        (("asym", "--kind", "axis", "--k", "1000", "--weights", "0,1",
+          "--u", _wall(1000), "--n", "10"), 3),
+        (("preset", "star", "--k", "2000", "--n", "10"), 3),
+        (("preset", "lock-step-fixed", "--k", "2000", "--n", "1"), 3),
+        (("preset", "random-turns-fixed", "--k", "1700", "--n", "1"), 3),
+        (("preset", "tangled-isolated", "--k", "2000", "--n", "1"), 3),
+        (("preset", "tangled-isolated", "--k", "5000", "--n", "1"), 3),
     ], ids=["asym-k16", "asym-k22", "signed-sum-k9", "preset-k9", "free-lockstep-k6",
             "free-long-walk", "long-walk-bits", "dp-long-walk", "dp-free-long-walk",
-            "compare-huge-grid"])
+            "compare-huge-grid", "asym-k1000", "asym-free-k1000", "star-k2000",
+            "lock-step-fixed-k2000", "random-turns-fixed-k1700", "tangled-isolated-k2000",
+            "tangled-isolated-k5000"])
     def test_large_k_answers_or_refuses_quickly(self, args, code):
         env = dict(os.environ)
         package_root = str(Path(chamberwalk.__file__).parent.parent)
@@ -519,7 +534,7 @@ class TestErrorContract:
         def broken(seed):
             raise ValueError("bad quadrature")
 
-        monkeypatch.setitem(verify._SUITE_FNS, "det", broken)
+        monkeypatch.setitem(verify.SUITES, "det", broken)
         res = run("verify", "--suite", "det", "--seed", "7")
         assert res.exit_code == 4
         assert res.output == "internal error: ValueError: bad quadrature\n"

@@ -17,9 +17,13 @@ default end points (one at n = 0, where there is no estimate), a star of 18
 walkers, a free axis count at k = 2, n = 400, the edges of the free-endpoint
 budget (random turns at k = 3 answered at n = 814 and refused at n = 815, a
 star at n = 100 refused first at k = 27), two signed sums of one
-atomic length (lock-step k = 7 at the wall, and rational weights 0,1/3), and two
-verify runs (every suite at seed 7; dsin and signs at seed 3).  A digest that
-moves means the CLI prints something else for the same flags.
+atomic length (lock-step k = 7 at the wall, and rational weights 0,1/3), the
+leading-order estimates with a fixed and a free end (axis 1,1,1 at k = 2,
+diagonal 0,1 at k = 3, and rational weights 1/2,1/3), a fixed-end compare grid
+as JSON and as CSV, the fallback branches of two presets (a watermelon and a
+star away from their default end points), and two verify runs (every suite at
+seed 7; dsin and signs at seed 3).  A digest that moves means the CLI prints
+something else for the same flags.
 """
 
 import hashlib
@@ -99,6 +103,26 @@ GOLDEN = [
      "9e200287c41f5c6943c97040984999c9be4002daa6b7c4715b93c346198c3ae4"),
     ("count --kind diagonal --k 3 --weights 0,1/3 --u 1,3,5 --v 1,3,7 --n 20 --method reflection",
      "a1268ee82de6027a6ae826a0e976f5ab445998148fbfe5884793e5cbe0b25136"),
+    ("asym --kind axis --k 2 --weights 1,1,1 --u 1,2 --v 1,2 --n 40",
+     "3371392a61b8e7353025365f7113c79ce712c01413187eb8806d83753441e7b4"),
+    ("asym --kind axis --k 2 --weights 1,1,1 --u 1,2 --n 40",
+     "265ffb9874e7d68e75b8c54e10af33770825f0c1b92a4f49e26d93eefa86f3f9"),
+    ("asym --kind diagonal --k 3 --weights 0,1 --u 1,3,5 --v 3,5,9 --n 30",
+     "29cb8406ca4825e95b2a55311edad6f65e48fa3d3afee01f46e5f88654b764fd"),
+    ("asym --kind diagonal --k 3 --weights 0,1 --u 1,3,5 --n 30",
+     "eba6a963c9707a5e5b196e1d0b1231d69559f2bb44272299f43fa9157dc7cc25"),
+    ("asym --kind axis --k 2 --weights 1/2,1/3 --u 1,4 --v 2,3 --n 25",
+     "e55e78c3fa674d2ddc20419a7d169e47351f4126d173ccf873a6707490f94ac2"),
+    ("asym --kind axis --k 2 --weights 1/2,1/3 --u 1,4 --n 25",
+     "5fbb1dbae81b4f6c370bc9f095929bf21367450354d0960932b92fb938807a35"),
+    ("compare --kind diagonal --k 2 --weights 0,1 --u 1,3 --v 1,3 --grid 20:80:20",
+     "cff6995565c75faffc42a7eacf9320d385e698f4f05f1764219d08c68e5e3c8b"),
+    ("compare --kind diagonal --k 2 --weights 0,1 --u 1,3 --v 1,3 --grid 20:80:20 --format csv",
+     "851003d6f92e825ef1da2d7d742bdccd345f9e5821c084e8853ca721c810cdc1"),
+    ("preset watermelon --k 2 --n 10 --u 1,5 --v 1,5",
+     "18c2a3287e4d062d2c8a5a0b8e15e0b156af90eb1746aff5329f2f10edaa2b5f"),
+    ("preset star --k 3 --n 20 --u 1,3,7",
+     "7db0f68eca53bac6e2700355acd9c7a0554c4d6d44cef92ff35837dd768ff4b6"),
     ("verify --seed 7",
      "adc79adbd5d4b7698e4680c78d86dbb02ec813e1de66a14894486bbae3361e23"),
     ("verify --suite dsin,signs --seed 3",
@@ -114,3 +138,17 @@ def test_cli_output_is_unchanged(command, digest):
                           env=env, capture_output=True, text=True, timeout=120)
     seen = json.dumps([proc.returncode, proc.stdout, proc.stderr])
     assert hashlib.sha256(seen.encode()).hexdigest() == digest, seen[:500]
+
+
+def test_leading_order_at_k500_is_unchanged():
+    """The end-point factor of u = v = (1, ..., 500), 124 750 factors a point, is under the
+    budget and is multiplied as a balanced tree, so the estimate prints within 10 s."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    point = ",".join(map(str, range(1, 501)))
+    proc = subprocess.run([sys.executable, "-m", "chamberwalk.cli", "asym", "--kind", "axis",
+                           "--k", "500", "--weights", "0,1", "--u", point, "--v", point,
+                           "--n", "10"], env=env, capture_output=True, text=True, timeout=10)
+    seen = json.dumps([proc.returncode, proc.stdout, proc.stderr])
+    assert hashlib.sha256(seen.encode()).hexdigest() \
+        == "df943882ff2952da906c7720f93df4e4ec23485b50b8c347e36e91d904e97680", seen[:500]

@@ -5,6 +5,7 @@ import math
 import operator
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -721,6 +722,81 @@ def test_reflection_budget_guard(what, count):
     assert err.value.what == what and err.value.budget == exact.DEFAULT_STATE_BUDGET
     assert err.value.estimate > err.value.budget
     assert str(err.value) == f"{what}: estimate {err.value.estimate} exceeds budget of 10000000"
+
+
+def test_a_huge_estimate_is_printed_in_full():
+    """k!*2^k terms at k = 2000 give an estimate past Python's int-to-str limit of 4300
+    digits; its refusal prints every digit, by Decimal, and is not a ValueError."""
+    spec = CompositeSpec(AtomicKind.DIAGONAL, 2000, [0, 1])
+    point = tuple(range(1, 4000, 2))
+    with pytest.raises(exact.ResourceBudgetError) as err:
+        exact.count_reflection(spec, point, point, 2)
+    digits = str(Decimal(err.value.estimate))
+    assert len(digits) > 4300
+    assert str(err.value) == f"signed sum work: estimate {digits} exceeds budget of 10000000"
+
+
+@pytest.mark.parametrize("count", [
+    lambda: exact.count_reflection_free(CompositeSpec(AtomicKind.DIAGONAL, 1000, [0, 1]),
+                                        tuple(range(1, 2000, 2)), 100),
+    lambda: exact.count_reflection_free(CompositeSpec(AtomicKind.AXIS, 1000, [0, 1]),
+                                        tuple(range(1, 1001)), 10),
+], ids=["free-diagonal", "free-axis"])
+def test_large_k_is_priced_before_anything_k_squared_is_made(count):
+    """The Pfaffian's k(k - 1) windows are counted in closed form and made only under the
+    budget, so a refusal at k = 1000 allocates next to nothing."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(exact.ResourceBudgetError):
+            count()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from([AtomicKind.AXIS, AtomicKind.DIAGONAL]),
+       weights=st.sampled_from(WEIGHT_LISTS), k=st.integers(1, 5), n=st.integers(0, 30),
+       data=st.data())
+def test_free_windows_are_counted_in_closed_form(kind, weights, k, n, data):
+    """The free route's estimate, its windows counted in closed form, is its price with the
+    windows enumerated: min(0, u_i - u_j) <= x <= u_i + u_j, |x - u_i| <= N, for each of the
+    k(k - 1) ordered pairs, less x = 0, each point a product of N-bit rows."""
+    spec = _spec(kind, k, weights)
+    u = _chamber_point(data, kind, k)
+    ints, w = exact._as_diagonal(_integer_spec(spec), u)
+    top, axis, order = n * ints.degree, ints.kind is AtomicKind.AXIS, k + k % 2
+    size = top + 1 if axis else exact._length_count(ints, n)
+    reach = min(top, max(w))
+    points = sum(len(window) - (0 in window) for window in (
+        range(max(min(0, a - b), a - top), min(a + b, a + top) + 1) for a in w for b in w
+        if a != b))
+    pfaffian = sum(math.comb(order - d, d) * (order - 2 * d - 1) for d in range(order // 2 - 1))
+    price = points * exact._product_work(axis, size, top, top) \
+        + pfaffian * exact._product_work(axis, size, 2 * top, max(2, order - 2) * top) \
+        + exact._held_work((5 * reach + 7) * size + axis * size * (size + 1) // 2, top) \
+        + (size == 1) * exact._comb_work(reach + 1, top)
+    assert _estimate(lambda: exact.count_reflection_free(spec, u, n)) == price
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=st.lists(st.integers(-30, 30), min_size=1, max_size=5),
+       v=st.lists(st.integers(-30, 30), min_size=1, max_size=5), n=st.integers(1, 40))
+def test_axis_leading_zeros_are_the_nearest_image(u, v, n):
+    """The signed sum's estimate skips, for row j, the distance from v_j to its nearest
+    eps*u_i over all i and eps, found by bisection: the same as the minimum over all 2k."""
+    k = min(len(u), len(v))
+    u, v = tuple(u[:k]), tuple(v[:k])
+    spec = CompositeSpec(AtomicKind.AXIS, k, [0, 1])
+    seen = []
+    work = exact._product_work
+    with mock.patch.object(exact, "_product_work",
+                           side_effect=lambda *args: seen.append(args) or work(*args)):
+        exact._term_size(spec, u, v, n, 1)
+    lows = list(itertools.accumulate(
+        min(abs(vj - eps * ui) for ui in u for eps in (1, -1)) for vj in v))
+    assert [args[1] for args in seen[1:]] == [max(0, n + 1 - low) for low in lows[1:]]
 
 
 def _integer_spec(spec):
