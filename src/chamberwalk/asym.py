@@ -179,32 +179,14 @@ def compare_series(spec: CompositeSpec, u: Sequence[int], v: Optional[Sequence[i
 
 
 def _fit_loglog(rows: Sequence[ConvergenceRow]) -> tuple[float, float]:
+    """Least-squares line through (log n, log|delta|); three or more distinct n keep it defined."""
     pts = [(math.log(r.n), math.log(abs(r.delta))) for r in rows if r.delta != 0.0]
     if len(pts) < 3:
         raise DiagnosticError("need at least 3 nonzero residuals for the decay fit")
-    return _ols(pts)
-
-
-def _ols(pts: Sequence[tuple[float, float]]) -> tuple[float, float]:
     n = len(pts)
     mx = sum(p[0] for p in pts) / n
     my = sum(p[1] for p in pts) / n
     sxx = sum((p[0] - mx) ** 2 for p in pts)
-    if sxx == 0:
-        raise DiagnosticError("degenerate grid: all abscissae equal")
     sxy = sum((p[0] - mx) * (p[1] - my) for p in pts)
     slope = sxy / sxx
     return slope, my - slope * mx
-
-
-def fit_inverse_n_coefficient(report: ConvergenceReport) -> float:
-    """Estimated coefficient c in delta_n = c/n + O(1/n^2).
-
-    Fits n*delta_n against 1/n and extrapolates to 1/n -> 0, which removes
-    the leading contamination from the 1/n^2 term.
-    """
-    pts = [(1.0 / r.n, r.n * r.delta) for r in report.rows]
-    if len(pts) < 3:
-        raise DiagnosticError("need at least 3 rows")
-    _, intercept = _ols(pts)
-    return intercept

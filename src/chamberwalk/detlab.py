@@ -4,8 +4,8 @@ Exact identities (type-C determinant evaluation, the Schur / odd-orthogonal
 character summation, the symplectic quotient) are checked in rational
 arithmetic with residual exactly zero; half-integer powers are handled by
 the substitution z = t^2 so no real square root ever enters an exact path.
-So are the Selberg integrals and Aomoto ratios, by the exact moments of
-their polynomial integrands, and the determinant asymptotics (sin kernel,
+So are the Selberg integrals and Aomoto ratios, as Hankel determinants of
+the weight's exact moments, and the determinant asymptotics (sin kernel,
 Gaussian kernel), by their exact power series in eps^2.  Every exact
 determinant is one Leibniz sum over ``Fraction``s, ``_series_det``; a
 scalar determinant is its constant term.  Only the maximal-point shift
@@ -174,14 +174,22 @@ def _odd_factorial_prod(k: int) -> int:
     return math.prod(math.factorial(2 * j - 1) for j in range(1, k + 1))
 
 
+def _series_residual(entries: Sequence[Sequence[Sequence[Fraction]]], low: int,
+                     leading: Fraction, c1: Fraction) -> Fraction:
+    """The series checks' pass rule, det(entries) = leading q^low (1 + c1 q) + O(q^(low+2)):
+    the residual is the lowest mismatching coefficient divided by ``leading``, 0 iff it holds."""
+    expected = [0] * low + [leading, leading * c1]
+    return next((c - e for c, e in zip(_series_det(entries, low + 1), expected) if c != e),
+                Fraction(0)) / leading
+
+
 def dsin_leading_ratio(u: Sequence[int], phi_direction: Sequence[Fraction]) -> IdentityReport:
     """det(sin(u_m phi_j)) at phi = eps * direction, as an exact series in q = eps^2.
 
     With one eps factored out of each row, entry (j, m) is
-    u_m d_j sum_r (-(u_m d_j)^2 q)^r / (2r+1)!.  Pass iff the series is
-    leading * q^C(k,2) * (1 + c1 q) + O(q^(C(k,2)+2)), where leading carries
-    the sign (-1)^C(k,2) and c1 = -(sum d_j^2)(sum u_m^2) / (2k(2k+1)).  The
-    residual is the lowest nonzero coefficient of ratio - (1 + c1 q).
+    u_m d_j sum_r (-(u_m d_j)^2 q)^r / (2r+1)!.  Pass iff ``_series_residual``
+    holds with low = C(k,2), leading carrying the sign (-1)^C(k,2), and
+    c1 = -(sum d_j^2)(sum u_m^2) / (2k(2k+1)).
     """
     u = list(u)
     d = [Fraction(x) for x in phi_direction]
@@ -195,19 +203,17 @@ def dsin_leading_ratio(u: Sequence[int], phi_direction: Sequence[Fraction]) -> I
     entries = [[[x * (-x * x) ** r / math.factorial(2 * r + 1) for r in range(low + 2)]
                 for x in (um * dj for um in u)] for dj in d]
     c1 = -sum(x * x for x in d) * sum(x * x for x in u) / (2 * k * (2 * k + 1))
-    expected = [0] * low + [leading, leading * c1]
-    series = _series_det(entries, low + 1)
-    residual = next((c - e for c, e in zip(series, expected) if c != e), Fraction(0)) / leading
-    return IdentityReport("dsin-leading", {"u": u, "direction": [str(x) for x in d]}, residual)
+    return IdentityReport("dsin-leading", {"u": u, "direction": [str(x) for x in d]},
+                          _series_residual(entries, low, leading, c1))
 
 
 def gaussian_kernel_det_ratio(k: int) -> IdentityReport:
     """det(exp(-(x-y)^2) - exp(-(x+y)^2)) at x = y = eps*(1..k), as an exact series in q = eps^2.
 
-    Entry (i, j) is sum_r ((-(i-j)^2)^r - (-(i+j)^2)^r) q^r / r!.  Pass iff the
-    series is leading * q^(k^2) * (1 + c1 q) + O(q^(k^2+2)), with leading
+    Entry (i, j) is sum_r ((-(i-j)^2)^r - (-(i+j)^2)^r) q^r / r!.  Pass iff
+    ``_series_residual`` holds with low = k^2, leading
     2^(k^2+k) / prod_j (2j-1)! * (k! prod_{i<j} (j^2 - i^2))^2 and
-    c1 = -k(k+1)(2k+1)/3.  The residual is as in ``dsin_leading_ratio``.
+    c1 = -k(k+1)(2k+1)/3.
     """
     x = range(1, k + 1)
     low = k * k
@@ -216,10 +222,8 @@ def gaussian_kernel_det_ratio(k: int) -> IdentityReport:
                                          for j, m in itertools.combinations(range(k), 2))) ** 2
     entries = [[[Fraction((-(i - j) ** 2) ** r - (-(i + j) ** 2) ** r, math.factorial(r))
                  for r in range(low + 2)] for j in x] for i in x]
-    expected = [0] * low + [leading, leading * Fraction(-k * (k + 1) * (2 * k + 1), 3)]
-    series = _series_det(entries, low + 1)
-    residual = next((c - e for c, e in zip(series, expected) if c != e), Fraction(0)) / leading
-    return IdentityReport("gaussian-kernel", {"k": k}, residual)
+    c1 = Fraction(-k * (k + 1) * (2 * k + 1), 3)
+    return IdentityReport("gaussian-kernel", {"k": k}, _series_residual(entries, low, leading, c1))
 
 
 def sin_det_shift_residual(u: Sequence[int], signs: Sequence[int],
@@ -240,9 +244,9 @@ def sin_det_shift_residual(u: Sequence[int], signs: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Selberg integrals by exact moments: each is a rational times unit^k, with
-# unit sqrt(2 pi) for the Hermite weight exp(-x^2/2) on the line and sqrt(pi)
-# for the Laguerre weight x^(1/2) exp(-x) on x > 0.
+# Selberg integrals by Hankel determinants of exact moments: each is a rational times unit^k,
+# with unit sqrt(2 pi) for the Hermite weight exp(-x^2/2) on the line and sqrt(pi) for the
+# Laguerre weight x^(1/2) exp(-x) on x > 0.
 
 _UNIT_SQUARED = {"hermite": 2 * math.pi, "laguerre": math.pi}
 
@@ -265,39 +269,28 @@ def _moment(weight: str, p: int) -> Fraction:
     return Fraction(math.prod(range(2 * p + 1, 0, -2)), 2 ** (p + 1))  # Gamma(p + 3/2)
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    """Product of polynomials held as {exponent tuple: integer coefficient}."""
-    out: dict = {}
-    for (ea, ca), (eb, cb) in itertools.product(a.items(), b.items()):
-        e = tuple(x + y for x, y in zip(ea, eb))
-        out[e] = out.get(e, 0) + ca * cb
-    return out
-
-
 def selberg_check(k: int, weight: str, which: str) -> IdentityReport:
-    """Exact check of the Selberg closed forms and Aomoto ratios by moments.
+    """Exact check of the Selberg closed forms and Aomoto ratios by Heine's identity.
 
-    prod_{j<m} (x_m - x_j)^2, times sum x_j (Laguerre) or sum x_j^2 (Hermite)
-    for Aomoto, is integrated monomial by monomial.  The Laguerre closed form
-    is over the ordered sector, k! times smaller than the orthant.  Pass iff
-    the rationals are equal; the residual is their exact difference.
+    prod_{j<m} (x_m - x_j)^2 integrates against k copies of the weight over the orthant to
+    k! det[mu_(i+j)], mu_p the moments (Szego, Orthogonal Polynomials, 2.1); the Aomoto factor
+    sum x_j^p, p = 1 (Laguerre) or 2 (Hermite), adds by Jacobi's formula the k determinants with
+    row r shifted by p.  The Laguerre closed form is over the ordered sector, k! times smaller
+    than the orthant.  Pass iff the rationals are equal; the residual is their exact difference.
     """
     if which not in ("one", "aomoto"):
         raise ValueError(f"unknown check {which!r}")
     target = _selberg_rational(k, weight)
-    unit = [tuple(int(i == m) for m in range(k)) for i in range(k)]
-    poly = {(0,) * k: 1}
-    for j, m in itertools.combinations(range(k), 2):
-        diff = {unit[m]: 1, unit[j]: -1}
-        poly = _poly_mul(_poly_mul(poly, diff), diff)
+    shifts = [(0,) * k]
     if which == "aomoto":
-        degree = 1 if weight == "laguerre" else 2
-        poly = _poly_mul(poly, {tuple(degree * a for a in e): 1 for e in unit})
+        power = 1 if weight == "laguerre" else 2
+        shifts = [tuple(power * (i == r) for i in range(k)) for r in range(k)]
         target *= Fraction(2 * k * k + k, 2) if weight == "laguerre" else k * k
     moments = [_moment(weight, p) for p in range(2 * k + 1)]
-    value = sum(c * math.prod(moments[p] for p in e) for e, c in poly.items())
-    if weight == "laguerre":
-        value /= math.factorial(k)
+    value = sum(det_exact([[moments[i + j + s] for j in range(k)] for i, s in enumerate(shift)])
+                for shift in shifts)
+    if weight == "hermite":
+        value *= math.factorial(k)
     scale = _UNIT_SQUARED[weight] ** (k / 2)
     return IdentityReport(f"selberg-{weight}-{which}",
                           {"k": k, "estimate": float(value) * scale,

@@ -145,7 +145,7 @@ def _moves(layer: dict, out: dict, shift: int, mask: int, low: int, high: int,
 def _layer_work(spec: CompositeSpec, n: int, start: Sequence[int]) -> int:
     """Dict updates of ``_weighted_layers``: each atomic step moves each point of layers m < N.
 
-    N = n*degree.  Layer m holds at most the points within m steps, the l1 ball sum_i 2^i
+    N = n*degree.  Layer m holds at most the points within m steps, the l1 ball sum_(i<=m) 2^i
     C(k, i) C(m, i) for axis steps or the box (m+1)^k for diagonal ones, and the chamber points
     with x_k <= b + m, b = max(start): C(b + m, k), or C((b + m + 1)//2, k) for diagonal steps,
     which keep one parity.  The smaller sum over m <= N is taken in closed form, times 2k:
@@ -156,7 +156,8 @@ def _layer_work(spec: CompositeSpec, n: int, start: Sequence[int]) -> int:
         return 0
     # the diagonal sum takes each value of (b + m + 1)//2 at most twice
     b = max(start)
-    work = min(sum(2 ** i * math.comb(k, i) * math.comb(top + 1, i + 1) for i in range(k + 1)),
+    work = min(sum(2 ** i * math.comb(k, i) * math.comb(top + 1, i + 1)
+                   for i in range(min(k, top) + 1)),
                math.comb(b + top + 1, k + 1)) if axis \
         else min((top + 1) ** (k + 1), 2 * math.comb((b + top + 3) // 2, k + 1))
     return 2 * k * work
@@ -410,7 +411,10 @@ def count_reflection_free(spec: CompositeSpec, u: Sequence[int], n: int):
     # Pfaffian's, one an entry of its C(K - d, d) minors of order K - 2d > 2, 2N- by (K - 2)N-bit;
     # entries held per 4096 bits; math.combs
     points = sum(min(ui, top) * (k - 1 + 2 * i) + (k - 1) * (ui > top) for i, ui in enumerate(u))
-    pfaffian = sum(math.comb(order - d, d) * (order - 2 * d - 1) for d in range(order // 2 - 1))
+    # C(K - d - 1, d + 1) = C(K - d, d) (K - 2d)(K - 2d - 1) / ((d + 1)(K - d)), one from the last
+    minors = itertools.accumulate(itertools.count(), lambda c, d: c * (order - 2 * d)
+                                  * (order - 2 * d - 1) // ((d + 1) * (order - d)), initial=1)
+    pfaffian = sum(c * (order - 2 * d - 1) for d, c in zip(range(order // 2 - 1), minors))
     _check_work("free-endpoint Pfaffian work", points * _product_work(axis, size, top, top)
                 + pfaffian * _product_work(axis, size, 2 * top, max(2, order - 2) * top)
                 + _held_work((5 * reach + 7) * size + axis * size * (size + 1) // 2, top)

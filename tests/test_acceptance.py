@@ -183,9 +183,12 @@ def test_08_selberg_suite():
 
 
 def test_09_second_order_diagnostic():
+    """delta_n = c/n + O(1/n^2) with c = -9/4 for watermelon k=1: the Richardson value
+    2 (n delta)_8000 - (n delta)_4000 cancels the 1/n^2 term."""
     wm1 = presets.preset_spec("watermelon", 1)
-    rep = asym.compare_series(wm1.spec, wm1.u, wm1.v, list(range(64, 257, 16)))
-    coeff = asym.fit_inverse_n_coefficient(rep)
-    ok = abs(coeff - (-9 / 4)) <= 0.15 * 9 / 4
+    rep = asym.compare_series(wm1.spec, wm1.u, wm1.v, [2000, 4000, 8000])
+    n_delta = {row.n: row.n * row.delta for row in rep.rows}
+    coeff = 2 * n_delta[8000] - n_delta[4000]
+    ok = abs(coeff - (-9 / 4)) <= 1e-4 * 9 / 4
     report("second-order diagnostic (1/n coefficient vs -9/4)", ok,
-           f"fitted {coeff:.4f}")
+           f"Richardson {coeff:.7f}")

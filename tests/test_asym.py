@@ -195,15 +195,3 @@ class TestConvergence:
         # the decay fit that compare_series reports as fitted_slope
         slope, _ = asym._fit_loglog(rows)
         assert slope == pytest.approx(-5 / 3, rel=1e-9)
-
-    def test_inverse_n_coefficient_on_synthetic(self):
-        # delta = c/n + d/n^2 must recover c exactly (fit is linear in 1/n)
-        c, d = -2.25, 7.0
-        rows = tuple(
-            asym.ConvergenceRow(n=n, exact_log=0.0, asym_log=0.0,
-                                ratio=1 + c / n + d / n ** 2,
-                                delta=c / n + d / n ** 2)
-            for n in (64, 128, 256, 512)
-        )
-        rep = asym.ConvergenceReport(rows=rows, fitted_slope=0.0, fitted_intercept=0.0)
-        assert asym.fit_inverse_n_coefficient(rep) == pytest.approx(c, rel=1e-9)

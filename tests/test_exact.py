@@ -765,19 +765,31 @@ def test_free_windows_are_counted_in_closed_form(kind, weights, k, n, data):
     k(k - 1) ordered pairs, less x = 0, each point a product of N-bit rows."""
     spec = _spec(kind, k, weights)
     u = _chamber_point(data, kind, k)
+    assert _estimate(lambda: exact.count_reflection_free(spec, u, n)) == _free_price(spec, u, n)
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_pfaffian_minors_are_counted_from_the_last(k):
+    """Each C(K - d, d) of the Pfaffian's minor count, K = k + k % 2 from 2 to 40, is taken from
+    the one before it; the estimate is the price with every binomial from ``math.comb``."""
+    spec, u = CompositeSpec(AtomicKind.DIAGONAL, k, [0, 1]), tuple(range(1, 2 * k, 2))
+    assert _estimate(lambda: exact.count_reflection_free(spec, u, 3)) == _free_price(spec, u, 3)
+
+
+def _free_price(spec, u, n):
+    """The free route's price with its windows enumerated and its minors counted by math.comb."""
     ints, w = exact._as_diagonal(_integer_spec(spec), u)
-    top, axis, order = n * ints.degree, ints.kind is AtomicKind.AXIS, k + k % 2
-    size = top + 1 if axis else exact._length_count(ints, n)
+    k, top, axis = spec.k, n * ints.degree, ints.kind is AtomicKind.AXIS
+    order, size = k + k % 2, top + 1 if axis else exact._length_count(ints, n)
     reach = min(top, max(w))
     points = sum(len(window) - (0 in window) for window in (
         range(max(min(0, a - b), a - top), min(a + b, a + top) + 1) for a in w for b in w
         if a != b))
     pfaffian = sum(math.comb(order - d, d) * (order - 2 * d - 1) for d in range(order // 2 - 1))
-    price = points * exact._product_work(axis, size, top, top) \
+    return points * exact._product_work(axis, size, top, top) \
         + pfaffian * exact._product_work(axis, size, 2 * top, max(2, order - 2) * top) \
         + exact._held_work((5 * reach + 7) * size + axis * size * (size + 1) // 2, top) \
         + (size == 1) * exact._comb_work(reach + 1, top)
-    assert _estimate(lambda: exact.count_reflection_free(spec, u, n)) == price
 
 
 @settings(max_examples=200, deadline=None)
