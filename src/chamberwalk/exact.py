@@ -29,7 +29,6 @@ from __future__ import annotations
 import bisect
 import collections
 import functools
-import inspect
 import itertools
 import math
 import operator
@@ -48,12 +47,15 @@ _STREAM_SCALE = Fraction(7, 2)
 
 
 class ResourceBudgetError(RuntimeError):
-    """The work ``what``, estimated at ``estimate`` (printed by ``Decimal``, which has no
-    int-to-str length limit), exceeds ``budget``."""
+    """The work ``what``, estimated at ``estimate``, exceeds ``budget``.  The message is made
+    only when printed, by ``Decimal`` (no int-to-str length limit, but quadratic in digits)."""
 
     def __init__(self, what: str, estimate: int, budget: int):
-        super().__init__(f"{what}: estimate {Decimal(estimate)} exceeds budget of {budget}")
+        super().__init__(what)
         self.what, self.estimate, self.budget = what, estimate, budget
+
+    def __str__(self) -> str:
+        return f"{self.what}: estimate {Decimal(self.estimate)} exceeds budget of {self.budget}"
 
 
 def _check_work(what: str, work: int) -> None:
@@ -256,17 +258,14 @@ def _as_diagonal(spec: CompositeSpec, *points: tuple[int, ...]) -> tuple:
 
 
 def _exact_count(route: Callable) -> Callable:
-    """The entry to a route: checks n >= 0, counts with the weights D*w_m, D the lcm of their
-    denominators, and divides by D^n, as every count is homogeneous of degree n in them."""
-    signature = inspect.signature(route)
-
+    """The entry to a route (spec, *points, n), by position: checks n >= 0, counts with the
+    weights D*w_m, D the lcm of their denominators, and divides by D^n (a count is of degree n)."""
     @functools.wraps(route)
-    def count(*args, **kwargs):
-        call = signature.bind(*args, **kwargs)
-        spec, n = call.arguments["spec"], check_walk_length(call.arguments["n"])
+    def count(spec: CompositeSpec, *points_and_n):
+        n = check_walk_length(points_and_n[-1])
         d = math.lcm(*(w.denominator for w in spec.weights))
-        call.arguments["spec"] = CompositeSpec(spec.kind, spec.k, [d * w for w in spec.weights])
-        total = route(*call.args, **call.kwargs)
+        total = route(CompositeSpec(spec.kind, spec.k, [d * w for w in spec.weights]),
+                      *points_and_n)
         return total if d == 1 else Fraction(total, d ** n)
     return count
 

@@ -77,9 +77,9 @@ def preset_spec(name: str, k: int, u: Optional[Sequence[int]] = None,
 
 
 def _fixed_endpoint_log(u: Sequence[int], v: Sequence[int]) -> float:
-    prod = math.prod(uj * vj for uj, vj in zip(u, v))
-    return math.log(_squared_difference_product(u)) + math.log(_squared_difference_product(v)) \
-        + math.log(prod)
+    # the squared-difference factors are priced before the k-fold product is formed
+    logs = math.log(_squared_difference_product(u)) + math.log(_squared_difference_product(v))
+    return logs + math.log(math.prod(uj * vj for uj, vj in zip(u, v)))
 
 
 def _free_endpoint_log(u: Sequence[int]) -> float:
@@ -103,31 +103,24 @@ def preset_asym(instance: PresetInstance, n: int) -> AsymptoticEstimate:
     # central binomial benchmark confirms
     n_power = -Fraction(k * k, 2) if instance.free_endpoint else -Fraction(2 * k * k + k, 2)
 
-    if name == "lock-step-fixed":
-        base_log = n * k * log2
-        constant_log = (3 * k / 2) * log2 - (k / 2) * logpi \
-            + _fixed_endpoint_log(u, v) - _log_factorial_odd(k)
-    elif name == "watermelon":
+    if name == "watermelon" and u == odd and v == odd:
         # n counts half-lengths: 2n composite steps
         base_log = n * k * math.log(4)
-        if u == odd and v == odd:
-            constant_log = (k * k - k) * log2 - (k / 2) * logpi + _log_factorial_odd(k)
-        else:
-            # fall back to the fixed-endpoint form at length 2n
-            base_log = 2 * n * k * log2
-            constant_log = (3 * k / 2) * log2 - (k / 2) * logpi \
-                + _fixed_endpoint_log(u, v) - _log_factorial_odd(k) \
-                + float(n_power) * math.log(2)
-    elif name == "lock-step-free":
+        constant_log = (k * k - k) * log2 - (k / 2) * logpi + _log_factorial_odd(k)
+    elif name == "star" and u == odd:
+        base_log = n * k * log2
+        constant_log = (k * k - k / 2) * log2 - (k / 2) * logpi \
+            + sum(math.lgamma(j) for j in range(1, k + 1))
+    elif name in ("lock-step-fixed", "watermelon"):
+        # a watermelon off the wall takes the lock-step form at length 2n, its n^power turned
+        # into (2n)^power; for lock-step the added term is -0.0, which changes no float
+        base_log = instance.steps(n) * k * log2
+        constant_log = (3 * k / 2) * log2 - (k / 2) * logpi \
+            + _fixed_endpoint_log(u, v) - _log_factorial_odd(k) \
+            + (instance.length_scale - 1) * float(n_power) * log2
+    elif name in ("lock-step-free", "star"):
         base_log = n * k * log2
         constant_log = (k / 2) * log2 - (k / 2) * logpi + _free_endpoint_log(u)
-    elif name == "star":
-        base_log = n * k * log2
-        if u == odd:
-            constant_log = (k * k - k / 2) * log2 - (k / 2) * logpi \
-                + sum(math.lgamma(j) for j in range(1, k + 1))
-        else:
-            constant_log = (k / 2) * log2 - (k / 2) * logpi + _free_endpoint_log(u)
     elif name == "random-turns-fixed":
         base_log = n * math.log(2 * k)
         constant_log = log2 + (k / 2) * (log2 - logpi) \

@@ -34,14 +34,13 @@ def random_chamber_point(rng: random.Random, spec: CompositeSpec) -> tuple[int, 
     while True:
         coords = sorted(rng.sample(range(1, 8 + spec.k * 2), spec.k))
         pt = tuple(coords)
-        if len(set(pt)) == spec.k and lattice_contains(spec, pt):
+        if lattice_contains(spec, pt):
             return pt
 
 
-def random_fraction(rng: random.Random, lo: int = -9) -> Fraction:
-    num = rng.randint(lo, 9)
-    den = rng.randint(1, 9)
-    return Fraction(num, den)
+def _record(identity: str, params: dict, passed: bool, residual) -> dict:
+    """A check record in the layout of ``detlab.IdentityReport.to_json``."""
+    return {"identity": identity, "params": params, "pass": passed, "residual": residual}
 
 
 def preset_instances(k: int) -> list:
@@ -66,12 +65,9 @@ def suite_oracle(seed: int) -> list[dict]:
                 for n in (0, 1, 3, 5):
                     a = exact.count_reflection(spec, u, v, n)
                     b = exact.count_confined(spec, u, v, n)
-                    records.append({
-                        "identity": "oracle-equivalence",
-                        "params": {"preset": inst.name, "k": k, "u": u, "v": v, "n": n},
-                        "pass": a == b,
-                        "residual": exact.format_count(a - b),
-                    })
+                    records.append(_record("oracle-equivalence", {"preset": inst.name, "k": k,
+                                           "u": u, "v": v, "n": n}, a == b,
+                                           exact.format_count(a - b)))
     return records
 
 
@@ -92,9 +88,7 @@ def suite_det(seed: int) -> list[dict]:
             u = sorted({Fraction(rng.randint(1, 30), rng.randint(1, 5)) for _ in range(2 * k)})[:k]
             if len(u) == k:
                 val = detlab.mixed_vandermonde_det(u, rng.randint(0, k))
-                records.append({"identity": "mixed-vandermonde-nonzero",
-                                "params": {"k": k}, "pass": val != 0,
-                                "residual": 0})
+                records.append(_record("mixed-vandermonde-nonzero", {"k": k}, val != 0, 0))
     return records
 
 
@@ -102,7 +96,7 @@ def _distinct_fractions(rng: random.Random, k: int, positive: bool = False,
                         avoid_unit: bool = False) -> list[Fraction]:
     out: list[Fraction] = []
     while len(out) < k:
-        x = random_fraction(rng, lo=1 if positive else -9)
+        x = Fraction(rng.randint(1 if positive else -9, 9), rng.randint(1, 9))
         if x == 0 or (avoid_unit and abs(x) == 1):
             continue
         if any(x == y or x * y == 1 for y in out):
@@ -143,8 +137,7 @@ def suite_dsin(seed: int) -> list[dict]:
         for identity, params, rep in (
                 ("dsin-decay", {"k": k, "u": u}, detlab.dsin_leading_ratio(u, direction)),
                 ("gaussian-kernel-decay", {"k": k}, detlab.gaussian_kernel_det_ratio(k))):
-            records.append({"identity": identity, "params": params, "pass": rep.passed,
-                            "residual": str(rep.residual)})
+            records.append(_record(identity, params, rep.passed, str(rep.residual)))
     return records
 
 
@@ -159,10 +152,9 @@ def suite_signs(seed: int) -> list[dict]:
             for eps in maximal_points(spec):
                 phi = [0.2 + 0.1 * rng.random() + 0.15 * j for j in range(k)]
                 residual = detlab.sin_det_shift_residual(u, eps, phi)
-                records.append({"identity": "sin-det-shift",
-                                "params": {"preset": inst.name, "k": k, "u": u,
-                                           "signs": eps},
-                                "pass": residual <= 1e-9, "residual": residual})
+                records.append(_record("sin-det-shift",
+                                       {"preset": inst.name, "k": k, "u": u, "signs": eps},
+                                       residual <= 1e-9, residual))
     return records
 
 
@@ -182,9 +174,8 @@ def suite_consistency(seed: int) -> list[dict]:
                     continue
                 diff = abs(specialized.log_value - general.log_value)
                 tol = 1e-10 * max(1.0, abs(general.log_value))
-                records.append({"identity": "preset-consistency",
-                                "params": {"preset": inst.name, "k": k, "n": n},
-                                "pass": diff <= tol, "residual": diff})
+                records.append(_record("preset-consistency", {"preset": inst.name, "k": k, "n": n},
+                                       diff <= tol, diff))
     return records
 
 

@@ -460,13 +460,14 @@ class TestErrorContract:
         (("preset", "star", "--k", "2000", "--n", "10"), 3),
         (("preset", "lock-step-fixed", "--k", "2000", "--n", "1"), 3),
         (("preset", "random-turns-fixed", "--k", "1700", "--n", "1"), 3),
+        (("preset", "random-turns-fixed", "--k", "100000", "--n", "1"), 3),
         (("preset", "tangled-isolated", "--k", "2000", "--n", "1"), 3),
         (("preset", "tangled-isolated", "--k", "5000", "--n", "1"), 3),
     ], ids=["asym-k16", "asym-k22", "signed-sum-k9", "preset-k9", "free-lockstep-k6",
             "free-long-walk", "long-walk-bits", "dp-long-walk", "dp-free-long-walk",
             "compare-huge-grid", "asym-k1000", "asym-free-k1000", "star-k2000",
-            "lock-step-fixed-k2000", "random-turns-fixed-k1700", "tangled-isolated-k2000",
-            "tangled-isolated-k5000"])
+            "lock-step-fixed-k2000", "random-turns-fixed-k1700", "random-turns-fixed-k100000",
+            "tangled-isolated-k2000", "tangled-isolated-k5000"])
     def test_large_k_answers_or_refuses_quickly(self, args, code):
         env = dict(os.environ)
         package_root = str(Path(chamberwalk.__file__).parent.parent)

@@ -1,5 +1,6 @@
 """Preset models: defaults, length conventions, specialized asymptotics."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -127,6 +128,21 @@ class TestPresetAsym:
         inst = presets.preset_spec("lock-step-fixed", 1, u=(1,), v=(1,))
         est = presets.preset_asym(inst, 15)
         assert not est.supported and math.isnan(est.log_value)
+
+    def test_every_log_value_is_pinned(self):
+        """320 estimates, every preset, k <= 4, n in {0, 1, 7, 100, 5000}: at the default end
+        points and at the wall shifted by 2 in every coordinate; repr of each log_value."""
+        values = []
+        for name, k, n in itertools.product(presets.PRESET_NAMES, range(1, 5),
+                                            (0, 1, 7, 100, 5000)):
+            wall = presets.preset_spec(name, k)
+            shifted = tuple(x + 2 for x in wall.u)
+            for inst in (wall, presets.preset_spec(name, k, shifted,
+                                                   None if wall.free_endpoint else shifted)):
+                values.append(repr(presets.preset_asym(inst, n).log_value))
+        assert len(values) == 320
+        assert hashlib.sha256("\n".join(values).encode()).hexdigest() \
+            == "2b9d93ea9406b788f501e14b1ae7e9f51d22868fabacd6777bcddf8409eaa35e"
 
 
 # ---------------------------------------------------------------------------

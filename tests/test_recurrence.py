@@ -3,10 +3,11 @@
 For fixed k, end points and weights, a count is a finite sum of products of
 binomials in n, so it satisfies a linear recurrence with polynomial
 coefficients (Stanley 1980; Zeilberger 1990).  The recurrence is guessed
-from the confined DP's counts alone, at even n = 2h: the smallest order r
-and degree d whose equations, with at least ``SPARE`` more than unknowns,
-have a one-dimensional kernel modulo the prime 2^61 - 1, then that kernel
-over ``Fraction``s.  Every term it extends to must be an integer, and the
+from the confined DP's counts alone, at even n = 2h, or at every n for a
+model with a step that stays put: the smallest order r and degree d whose
+equations, with at least ``SPARE`` more than unknowns, have a
+one-dimensional kernel modulo the prime 2^61 - 1, then that kernel over
+``Fraction``s.  Every term it extends to must be an integer, and the
 reflection routes must meet it at lengths the DP cannot reach.  A guessed
 recurrence is a conjecture, certified only by its held-out terms, so none
 enters the package.
@@ -74,9 +75,9 @@ def _kernel(rows):
 
 
 def guess(terms):
-    """The smallest (r, d), r <= 4 and d <= 8, by r + d and then r, and its coefficient lists,
+    """The smallest (r, d), r <= 6 and d <= 8, by r + d and then r, and its coefficient lists,
     c_ij at [i][j]."""
-    shapes = sorted(((r, d) for r in range(1, 5) for d in range(9)),
+    shapes = sorted(((r, d) for r in range(1, 7) for d in range(9)),
                     key=lambda s: (s[0] + s[1], s[0]))
     for r, d in shapes:
         unknowns = (r + 1) * (d + 1)
@@ -102,22 +103,25 @@ def extend(terms, coefficients, length):
     return terms
 
 
-@pytest.mark.parametrize("name,u,seeds,shape,checks", [
-    ("random-turns-fixed", (1, 2, 3), 24, (2, 3), (100, 200)),
-    ("lock-step-fixed", (1, 3, 7), 24, (2, 4), (1000, 2000)),
-    ("random-turns-free", (1, 2, 3), 24, (2, 3), (200, 400)),
-], ids=["random-turns-fixed", "lock-step", "random-turns-free"])
-def test_reflection_meets_the_dp_recurrence_past_the_dp(name, u, seeds, shape, checks):
-    """The DP's counts at n = 0, 2, ..., fix a recurrence in h = n/2; the reflection route's
-    counts at lengths far past the DP's edge are its terms."""
+@pytest.mark.parametrize("name,u,step,seeds,shape,checks", [
+    # n = 502 is the signed sum's last answered length
+    ("random-turns-fixed", (1, 2, 3), 2, 24, (2, 3), (100, 200, 502)),
+    ("lock-step-fixed", (1, 3, 7), 2, 24, (2, 4), (1000, 2000)),
+    ("random-turns-free", (1, 2, 3), 2, 24, (2, 3), (200, 400)),
+    # from the wall, where a tangled diagram's walk starts and ends
+    ("tangled-isolated", (1, 2), 1, 70, (6, 5), (200, 1000)),
+], ids=["random-turns-fixed", "lock-step", "random-turns-free", "tangled-isolated"])
+def test_reflection_meets_the_dp_recurrence_past_the_dp(name, u, step, seeds, shape, checks):
+    """The DP's counts at n = 0, step, 2*step, ..., fix a recurrence in h = n/step; the
+    reflection route's counts at lengths far past the DP's edge are its terms."""
     free = name.endswith("free")
-    spec = presets.preset_spec(name, 3, u, None if free else u).spec
+    spec = presets.preset_spec(name, len(u), u, None if free else u).spec
     ends = (spec, u) if free else (spec, u, u)
     dp, reflection = (exact.count_confined_free, exact.count_reflection_free) if free \
         else (exact.count_confined, exact.count_reflection)
-    terms = [dp(*ends, 2 * h) for h in range(seeds)]
+    terms = [dp(*ends, step * h) for h in range(seeds)]
     r, d, coefficients = guess(terms)
     assert (r, d) == shape
-    terms = extend(terms, coefficients, max(checks) // 2 + 1)
+    terms = extend(terms, coefficients, max(checks) // step + 1)
     for n in checks:
-        assert reflection(*ends, n) == terms[n // 2]
+        assert reflection(*ends, n) == terms[n // step]
