@@ -102,20 +102,11 @@ def _squared_difference_product(u: Sequence[int]) -> int:
 # evaluators
 
 
-def asym_fixed(spec: CompositeSpec, u: Sequence[int], v: Sequence[int],
-               n: int) -> AsymptoticEstimate:
-    """Leading-order estimate of the confined count with both endpoints fixed; none at n = 0."""
-    return _leading(spec, u, v, n)
-
-
-def asym_free(spec: CompositeSpec, u: Sequence[int], n: int) -> AsymptoticEstimate:
-    """Leading-order estimate of the confined count with a free endpoint; none at n = 0."""
-    return _leading(spec, u, None, n)
-
-
-def _leading(spec: CompositeSpec, u: Sequence[int], v: Optional[Sequence[int]],
-             n: int) -> AsymptoticEstimate:
-    """The formula of the module docstring with the end point v, or a free end for ``v=None``."""
+def leading_order(spec: CompositeSpec, u: Sequence[int], v: Optional[Sequence[int]],
+                  n: int) -> AsymptoticEstimate:
+    """Leading-order estimate of the count of n steps from u: the formula of the module
+    docstring with the end point v, or a free end for ``v=None``; none at n = 0 or where the
+    step parity rules it out."""
     check_walk_length(n)
     points = [check_chamber_point(spec, p) for p in (u, v) if p is not None]
     k, free = spec.k, v is None
@@ -160,7 +151,7 @@ def compare_series(spec: CompositeSpec, u: Sequence[int], v: Optional[Sequence[i
     points = max(0, -((grid.start - grid.stop) // grid.step)) if walk else len(grid)
     exact._check_work("comparison grid points", points)
     for n in grid:
-        est = _leading(spec, u, v, n)
+        est = leading_order(spec, u, v, n)
         if not est.supported:
             continue
         cnt = exact.count_reflection_free(spec, u, n) if v is None \

@@ -116,7 +116,7 @@ def cmd_asym(kind: str, k: int, weights: str, u_text: str, v_text: Optional[str]
              n_value: int) -> None:
     """Leading-order asymptotic estimate as a single JSON record."""
     spec, u, v = _model(kind, k, weights, u_text, v_text)
-    est = asym.asym_free(spec, u, n_value) if v is None else asym.asym_fixed(spec, u, v, n_value)
+    est = asym.leading_order(spec, u, v, n_value)
     record = {"kind": kind, "k": k, "u": list(u), "n": n_value,
               "supported": est.supported}
     if v is not None:

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import bisect
 import collections
+import decimal
 import functools
 import itertools
 import math
 import operator
-from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -48,14 +48,14 @@ _STREAM_SCALE = Fraction(7, 2)
 
 class ResourceBudgetError(RuntimeError):
     """The work ``what``, estimated at ``estimate``, exceeds ``budget``.  The message is made
-    only when printed, by ``Decimal`` (no int-to-str length limit, but quadratic in digits)."""
+    only when printed, by ``_digits``."""
 
     def __init__(self, what: str, estimate: int, budget: int):
         super().__init__(what)
         self.what, self.estimate, self.budget = what, estimate, budget
 
     def __str__(self) -> str:
-        return f"{self.what}: estimate {Decimal(self.estimate)} exceeds budget of {self.budget}"
+        return f"{self.what}: estimate {_digits(self.estimate)} exceeds budget of {self.budget}"
 
 
 def _check_work(what: str, work: int) -> None:
@@ -467,8 +467,24 @@ def _pfaffian(order: int, entries: dict, product: Callable) -> list:
     return minor(tuple(range(order)))
 
 
+def _digits(n: int) -> str:
+    """str(n) past the int-to-str length limit, by halves: n = hi*2^s + lo, each half converted
+    alike and joined exactly in ``decimal``.  ``Decimal(n)`` alone is quadratic in the digits,
+    so it takes only pieces of 4096 bits or fewer."""
+    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    powers: dict[int, decimal.Decimal] = {}
+
+    def convert(m: int) -> decimal.Decimal:
+        if m.bit_length() <= 4096:
+            return decimal.Decimal(m)
+        s = 1 << (m.bit_length() - 1).bit_length() - 1  # the largest power of 2 below its length
+        if s not in powers:
+            powers[s] = context.power(2, s)
+        return context.add(context.multiply(convert(m >> s), powers[s]), convert(m & (1 << s) - 1))
+    return ("-" if n < 0 else "") + str(convert(abs(n)))
+
+
 def format_count(value) -> str:
-    """Serialize an exact count: decimal string, or 'p/q' for non-integers, printed by
-    ``Decimal``, which has no int-to-str length limit."""
+    """Serialize an exact count: decimal string, or 'p/q' for non-integers, by ``_digits``."""
     num, den = Fraction(value).as_integer_ratio()
-    return str(Decimal(num)) + (f"/{Decimal(den)}" if den != 1 else "")
+    return _digits(num) + (f"/{_digits(den)}" if den != 1 else "")

@@ -91,12 +91,6 @@ class CompositeSpec:
             acc = acc * x + w
         return acc
 
-    def poly_deriv(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for m in range(self.degree, 0, -1):
-            acc = acc * x + m * self.weights[m]
-        return acc
-
 
 def s_one(spec: CompositeSpec) -> Fraction:
     """S(1, ..., 1); equals P(2k) for axis steps and P(2^k) for diagonal."""
@@ -105,20 +99,15 @@ def s_one(spec: CompositeSpec) -> Fraction:
     return spec.poly(Fraction(2 ** spec.k))
 
 
-def s_second_derivative_one(spec: CompositeSpec) -> Fraction:
-    """S''(1,...,1): second derivative in any single variable at the all-ones point.
-
-    d^2 A / dz_1^2 at z=1 equals 2 for axis steps and 2^k for diagonal
-    steps, while dA/dz_1 vanishes there, so S'' = P'(A(1)) * A''(1).
-    """
-    if spec.kind is AtomicKind.AXIS:
-        return 2 * spec.poly_deriv(Fraction(2 * spec.k))
-    return (2 ** spec.k) * spec.poly_deriv(Fraction(2 ** spec.k))
-
-
 def curvature(spec: CompositeSpec) -> Fraction:
-    """Lam = S''(1,...,1)/S(1,...,1), the one model constant of the asymptotic formulas."""
-    return s_second_derivative_one(spec) / s_one(spec)
+    """Lam = S''(1,...,1)/S(1,...,1), the one model constant of the asymptotic formulas.
+
+    S'' = A''(1) * P'(A(1)) in any one variable at the all-ones point, where dA/dz_1 vanishes:
+    A(1) = 2k and A'' = 2 for axis steps, A(1) = A'' = 2^k for diagonal steps."""
+    a = Fraction(2 * spec.k if spec.kind is AtomicKind.AXIS else 2 ** spec.k)
+    second = 2 if spec.kind is AtomicKind.AXIS else a
+    p_prime = sum(m * w * a ** (m - 1) for m, w in enumerate(spec.weights[1:], 1))
+    return second * p_prime / spec.poly(a)
 
 
 def _maximal_signs(spec: CompositeSpec) -> tuple[int, ...]:

@@ -22,12 +22,12 @@ def RT_K(k):
 
 
 class TestSupport:
-    """``CompositeSpec.parity_allows``, the support rule of ``asym_fixed`` and the presets."""
+    """``CompositeSpec.parity_allows``, the support rule of ``leading_order`` and the presets."""
 
     def test_lockstep_parity(self):
         assert LOCKSTEP_1.parity_allows((1,), (1,), 16)
         assert not LOCKSTEP_1.parity_allows((1,), (1,), 15)
-        assert not asym.asym_fixed(LOCKSTEP_1, (1,), (1,), 15).supported
+        assert not asym.leading_order(LOCKSTEP_1, (1,), (1,), 15).supported
 
     def test_axis_parity(self):
         assert RT_2.parity_allows((1, 2), (1, 2), 4)
@@ -39,11 +39,11 @@ class TestSupport:
         assert spec.parity_allows((1,), (2,), 3)
 
     def test_no_estimate_at_length_zero(self):
-        for est in (asym.asym_fixed(LOCKSTEP_1, (1,), (1,), 0),
-                    asym.asym_free(LOCKSTEP_1, (1,), 0)):
+        for est in (asym.leading_order(LOCKSTEP_1, (1,), (1,), 0),
+                    asym.leading_order(LOCKSTEP_1, (1,), None, 0)):
             assert not est.supported and math.isnan(est.log_value)
         with pytest.raises(ValueError, match="walk length n must be >= 0, got -1"):
-            asym.asym_free(LOCKSTEP_1, (1,), -1)
+            asym.leading_order(LOCKSTEP_1, (1,), None, -1)
 
 
 class TestLogExact:
@@ -65,38 +65,38 @@ class TestLogExact:
 class TestFixedEndpoint:
     def test_excursion_value(self):
         # 2 * 4^8 * (2/pi)^(1/2) * 16^(-3/2) at 16 steps, k=1, M = 2 points
-        est = asym.asym_fixed(LOCKSTEP_1, (1,), (1,), 16)
+        est = asym.leading_order(LOCKSTEP_1, (1,), (1,), 16)
         expect = 2 * 4.0 ** 8 * math.sqrt(2 / math.pi) * 16.0 ** -1.5
         assert est.value == pytest.approx(expect, rel=1e-12)
 
     def test_unsupported_is_nan(self):
-        est = asym.asym_fixed(LOCKSTEP_1, (1,), (1,), 15)
+        est = asym.leading_order(LOCKSTEP_1, (1,), (1,), 15)
         assert not est.supported
         assert math.isnan(est.log_value)
         assert est.value is None
 
     def test_huge_value_overflow_guard(self):
-        est = asym.asym_fixed(LOCKSTEP_1, (1,), (1,), 5000)
+        est = asym.leading_order(LOCKSTEP_1, (1,), (1,), 5000)
         assert est.value is None
         assert est.log10_value == pytest.approx(est.log_value / math.log(10))
 
     def test_ratio_approaches_one(self):
         for n, tol in ((64, 0.05), (256, 0.02)):
             cnt = exact.count_reflection(LOCKSTEP_1, (1,), (1,), n)
-            est = asym.asym_fixed(LOCKSTEP_1, (1,), (1,), n)
+            est = asym.leading_order(LOCKSTEP_1, (1,), (1,), n)
             assert math.exp(asym.log_exact(cnt) - est.log_value) == pytest.approx(1.0, abs=tol)
 
 
 class TestFreeEndpoint:
     def test_k1_matches_central_binomial_asymptotics(self):
         # comb(n, n//2) ~ 2^n sqrt(2/(pi n))
-        est = asym.asym_free(LOCKSTEP_1, (1,), 100)
+        est = asym.leading_order(LOCKSTEP_1, (1,), None, 100)
         expect = 2.0 ** 100 * math.sqrt(2 / (math.pi * 100))
         assert est.value == pytest.approx(expect, rel=1e-12)
 
     def test_ratio_approaches_one(self):
         cnt = exact.count_reflection_free(LOCKSTEP_2, (1, 3), 64)
-        est = asym.asym_free(LOCKSTEP_2, (1, 3), 64)
+        est = asym.leading_order(LOCKSTEP_2, (1, 3), None, 64)
         assert math.exp(asym.log_exact(cnt) - est.log_value) == pytest.approx(1.0, abs=0.1)
 
 
@@ -113,8 +113,8 @@ class TestLeadingOrder:
             u = tuple(range(1, gap * k + 1, gap))
             v = tuple(2 * x + 1 for x in u)
             values += [repr(est.log_value) for est in (
-                asym.asym_fixed(spec, u, u, n), asym.asym_fixed(spec, u, v, n),
-                asym.asym_free(spec, u, n))]
+                asym.leading_order(spec, u, u, n), asym.leading_order(spec, u, v, n),
+                asym.leading_order(spec, u, None, n))]
         assert len(values) == 600
         assert hashlib.sha256("\n".join(values).encode()).hexdigest() \
             == "d8951758fff2a86c5295803192351688bd447e8313750590bd5fed8a313c76d5"
@@ -150,8 +150,8 @@ class TestEndPointFactor:
         assert counted <= err.value.estimate <= 4 * (counted + 1)
 
     @pytest.mark.parametrize("estimate", [
-        lambda u: asym.asym_fixed(RT_K(len(u)), u, u, 10),
-        lambda u: asym.asym_free(RT_K(len(u)), u, 10),
+        lambda u: asym.leading_order(RT_K(len(u)), u, u, 10),
+        lambda u: asym.leading_order(RT_K(len(u)), u, None, 10),
         lambda u: presets.preset_asym(presets.preset_spec("random-turns-fixed", len(u)), 1),
     ], ids=["fixed", "free", "preset"])
     def test_refused_before_the_product_is_formed(self, estimate):

@@ -370,6 +370,8 @@ class TestVerify:
     def test_unknown_suite_exit_2(self):
         res = run("verify", "--suite", "nonsense", "--seed", "7")
         assert res.exit_code == 2
+        with pytest.raises(ValueError, match="unknown suite 'nonsense'"):
+            verify.run_suite("nonsense", 0)
 
     @pytest.mark.parametrize("suite_text", ["", ",", " , "])
     def test_empty_suite_list_exit_2(self, suite_text, monkeypatch):
@@ -463,11 +465,12 @@ class TestErrorContract:
         (("preset", "random-turns-fixed", "--k", "100000", "--n", "1"), 3),
         (("preset", "tangled-isolated", "--k", "2000", "--n", "1"), 3),
         (("preset", "tangled-isolated", "--k", "5000", "--n", "1"), 3),
+        (("preset", "tangled-isolated", "--k", "100000", "--n", "1"), 3),
     ], ids=["asym-k16", "asym-k22", "signed-sum-k9", "preset-k9", "free-lockstep-k6",
             "free-long-walk", "long-walk-bits", "dp-long-walk", "dp-free-long-walk",
             "compare-huge-grid", "asym-k1000", "asym-free-k1000", "star-k2000",
             "lock-step-fixed-k2000", "random-turns-fixed-k1700", "random-turns-fixed-k100000",
-            "tangled-isolated-k2000", "tangled-isolated-k5000"])
+            "tangled-isolated-k2000", "tangled-isolated-k5000", "tangled-isolated-k100000"])
     def test_large_k_answers_or_refuses_quickly(self, args, code):
         env = dict(os.environ)
         package_root = str(Path(chamberwalk.__file__).parent.parent)

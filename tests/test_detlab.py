@@ -121,6 +121,11 @@ class TestSchurIdentity:
         rep = detlab.schur_orthogonal_identity_check([Fraction(2), Fraction(5)], 0)
         assert rep.passed
 
+    def test_equal_squares_rejected(self):
+        # t = 2 and -2 give one z = t^2 twice
+        with pytest.raises(ValueError, match="distinct and nonzero"):
+            detlab.schur_orthogonal_identity_check([2, -2], 1)
+
 
 class TestQuotientIdentity:
     @pytest.mark.parametrize("z", [
@@ -154,6 +159,10 @@ class TestMixedVandermonde:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             detlab.mixed_vandermonde_det([Fraction(2), Fraction(1)], 1)
+
+    def test_rejects_a_split_past_k(self):
+        with pytest.raises(ValueError, match="0 <= a <= k"):
+            detlab.mixed_vandermonde_det([1, 2], 3)
 
     def test_a_zero_is_returned(self, monkeypatch):
         # verify records a zero as a failed check; it is not an internal error
@@ -277,6 +286,8 @@ class TestSelberg:
             detlab.selberg_check(2, "jacobi", "one")
         with pytest.raises(ValueError):
             detlab.selberg_check(2, "laguerre", "second")
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            detlab.selberg_check(0, "hermite", "one")
 
 
 def test_report_passes_iff_its_residual_is_zero():

@@ -736,6 +736,18 @@ def test_a_huge_estimate_is_printed_in_full():
     assert str(err.value) == f"signed sum work: estimate {digits} exceeds budget of 10000000"
 
 
+def test_digits_by_halves_are_decimals_digits():
+    """``_digits`` splits past 4096 bits and joins the halves in ``decimal``: every digit and
+    the sign are ``Decimal``'s, on both sides of the split."""
+    rng = random.Random(11)
+    values = [0, 1, -1]
+    for bits in (4095, 4096, 4097, 10 ** 4, 2 * 10 ** 5):
+        x = rng.getrandbits(bits) | 1 << (bits - 1)
+        values += [x, -x]
+    for x in values:
+        assert exact._digits(x) == str(Decimal(x))
+
+
 @pytest.mark.parametrize("count", [
     lambda: exact.count_reflection_free(CompositeSpec(AtomicKind.DIAGONAL, 1000, [0, 1]),
                                         tuple(range(1, 2000, 2)), 100),

@@ -58,6 +58,10 @@ class TestPresetSpec:
         with pytest.raises(ValueError):
             presets.preset_spec("banana", 2)
 
+    def test_rejects_k_zero(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            presets.preset_spec("star", 0)
+
     def test_endpoint_override_validated(self):
         with pytest.raises(ValueError):
             presets.preset_spec("watermelon", 2, u=(1, 2), v=(1, 3))
@@ -103,17 +107,13 @@ class TestPresetAsym:
             special = presets.preset_asym(inst, n)
             if not special.supported:
                 continue
-            steps = inst.steps(n)
-            if inst.free_endpoint:
-                general = asym.asym_free(inst.spec, inst.u, steps)
-            else:
-                general = asym.asym_fixed(inst.spec, inst.u, inst.v, steps)
+            general = asym.leading_order(inst.spec, inst.u, inst.v, inst.steps(n))
             assert special.log_value == pytest.approx(general.log_value, abs=1e-9)
 
     def test_override_endpoints_still_consistent(self):
         inst = presets.preset_spec("watermelon", 2, u=(2, 4), v=(2, 6))
         special = presets.preset_asym(inst, 50)
-        general = asym.asym_fixed(inst.spec, inst.u, inst.v, 100)
+        general = asym.leading_order(inst.spec, inst.u, inst.v, 100)
         assert special.log_value == pytest.approx(general.log_value, abs=1e-9)
 
     @pytest.mark.parametrize("name", presets.PRESET_NAMES)

@@ -11,6 +11,12 @@ one-dimensional kernel modulo the prime 2^61 - 1, then that kernel over
 reflection routes must meet it at lengths the DP cannot reach.  A guessed
 recurrence is a conjecture, certified only by its held-out terms, so none
 enters the package.
+
+Its coefficients also give the asymptotics exactly (Wimp-Zeilberger 1985):
+putting a_h ~ rho^h h^alpha (1 + s/h) into the recurrence, the powers h^d,
+h^(d-1) and h^(d-2) must vanish.  The first two hold for the paper's growth
+and exponent, the third fixes the 1/n coefficient, which the counts the
+recurrence extends to must approach.
 """
 
 import math
@@ -18,7 +24,8 @@ from fractions import Fraction
 
 import pytest
 
-from chamberwalk import exact, presets
+from chamberwalk import asym, exact, presets
+from chamberwalk.stepmodel import s_one
 
 PRIME = 2 ** 61 - 1
 SPARE = 4
@@ -103,17 +110,37 @@ def extend(terms, coefficients, length):
     return terms
 
 
-@pytest.mark.parametrize("name,u,step,seeds,shape,checks", [
+def inverse_h_coefficient(coefficients, rho, alpha):
+    """s of a_h ~ rho^h h^alpha (1 + s/h), after asserting that rho and alpha make the powers
+    h^d and h^(d-1) vanish; the power h^(d-2) is linear in s."""
+    d = len(coefficients[0]) - 1
+    terms = list(enumerate(coefficients))
+    assert sum(rho ** i * p[d] for i, p in terms) == 0
+    assert sum(rho ** i * (p[d - 1] + alpha * i * p[d]) for i, p in terms) == 0
+    slope = sum(i * rho ** i * p[d] for i, p in terms)
+    assert slope != 0, "rho is a multiple root"
+    alpha_choose_2 = alpha * (alpha - 1) / 2
+    return sum(rho ** i * (p[d - 2] + alpha * i * p[d - 1] + alpha_choose_2 * i * i * p[d])
+               for i, p in terms) / slope
+
+
+@pytest.mark.parametrize("name,u,step,seeds,shape,checks,c,richardson", [
     # n = 502 is the signed sum's last answered length
-    ("random-turns-fixed", (1, 2, 3), 2, 24, (2, 3), (100, 200, 502)),
-    ("lock-step-fixed", (1, 3, 7), 2, 24, (2, 4), (1000, 2000)),
-    ("random-turns-free", (1, 2, 3), 2, 24, (2, 3), (200, 400)),
+    ("random-turns-fixed", (1, 2, 3), 2, 24, (2, 3), (100, 200, 502), Fraction(-273, 4),
+     4000),
+    ("lock-step-fixed", (1, 3, 7), 2, 24, (2, 4), (1000, 2000), Fraction(-327, 4), 4000),
+    ("random-turns-free", (1, 2, 3), 2, 24, (2, 3), (200, 400), Fraction(-63, 4), 4000),
     # from the wall, where a tangled diagram's walk starts and ends
-    ("tangled-isolated", (1, 2), 1, 70, (6, 5), (200, 1000)),
+    ("tangled-isolated", (1, 2), 1, 70, (6, 5), (200, 1000), Fraction(-625, 72), 2000),
 ], ids=["random-turns-fixed", "lock-step", "random-turns-free", "tangled-isolated"])
-def test_reflection_meets_the_dp_recurrence_past_the_dp(name, u, step, seeds, shape, checks):
+def test_reflection_meets_the_dp_recurrence_past_the_dp(name, u, step, seeds, shape, checks,
+                                                        c, richardson):
     """The DP's counts at n = 0, step, 2*step, ..., fix a recurrence in h = n/step; the
-    reflection route's counts at lengths far past the DP's edge are its terms."""
+    reflection route's counts at lengths far past the DP's edge are its terms.
+
+    The recurrence holds for the paper's growth rho = S(1)^step and exponent alpha, and gives
+    delta = exact/asym - 1 ~ c/n with an exact c: the Richardson value 2*(n delta)_2n -
+    (n delta)_n of the counts it extends to, at n = ``richardson``, is c to 1e-3."""
     free = name.endswith("free")
     spec = presets.preset_spec(name, len(u), u, None if free else u).spec
     ends = (spec, u) if free else (spec, u, u)
@@ -122,6 +149,16 @@ def test_reflection_meets_the_dp_recurrence_past_the_dp(name, u, step, seeds, sh
     terms = [dp(*ends, step * h) for h in range(seeds)]
     r, d, coefficients = guess(terms)
     assert (r, d) == shape
-    terms = extend(terms, coefficients, max(checks) // step + 1)
+    terms = extend(terms, coefficients, 2 * richardson // step + 1)
     for n in checks:
         assert reflection(*ends, n) == terms[n // step]
+
+    k = len(u)
+    alpha = -Fraction(k * k, 2) if free else -Fraction(2 * k * k + k, 2)
+    assert step * inverse_h_coefficient(coefficients, s_one(spec) ** step, alpha) == c
+
+    def n_delta(n):
+        estimate = asym.leading_order(spec, u, None if free else u, n)
+        return n * (math.exp(asym.log_exact(terms[n // step]) - estimate.log_value) - 1)
+
+    assert 2 * n_delta(2 * richardson) - n_delta(richardson) == pytest.approx(float(c), rel=1e-3)

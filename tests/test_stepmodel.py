@@ -19,7 +19,6 @@ from chamberwalk.stepmodel import (
     maximal_point_count,
     maximal_points,
     s_one,
-    s_second_derivative_one,
 )
 
 
@@ -44,6 +43,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             axis(1, [1])
 
+    def test_rejects_float_weight(self):
+        with pytest.raises(TypeError, match="got float"):
+            axis(1, [0.5])
+
     def test_trailing_zeros_trimmed(self):
         assert axis(1, [0, 1, 0, 0]).weights == axis(1, [0, 1]).weights
 
@@ -66,8 +69,8 @@ class TestGeneratingFunction:
 
     def test_second_derivative_lockstep(self):
         # S = prod (z_j + 1/z_j): d^2/dz_1^2 at 1 is 2 * 2^(k-1)
-        assert s_second_derivative_one(diag(1, [0, 1])) == 2
-        assert s_second_derivative_one(diag(2, [0, 1])) == 4
+        assert curvature(diag(1, [0, 1])) * s_one(diag(1, [0, 1])) == 2
+        assert curvature(diag(2, [0, 1])) * s_one(diag(2, [0, 1])) == 4
 
     def test_lam_values(self):
         assert curvature(diag(2, [0, 1])) == 1
@@ -167,8 +170,8 @@ class TestChamberPredicates:
         entries = [lambda n: check_walk_length(n),
                    lambda n: exact.count_reflection(spec, (1, 3), (1, 3), n),
                    lambda n: exact.count_confined_free(spec, (1, 3), n),
-                   lambda n: asym.asym_fixed(spec, (1, 3), (1, 3), n),
-                   lambda n: asym.asym_free(spec, (1, 3), n),
+                   lambda n: asym.leading_order(spec, (1, 3), (1, 3), n),
+                   lambda n: asym.leading_order(spec, (1, 3), None, n),
                    inst.steps,
                    lambda n: presets.preset_asym(inst, n)]
         for entry in entries:
