@@ -18,6 +18,7 @@ S(1)^n overflows any fixed-width float already for modest n.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -35,6 +36,10 @@ class DiagnosticError(ValueError):
 class AsymptoticEstimate:
     log_value: float            # natural log; NaN when unsupported
     supported: bool
+
+    def __post_init__(self) -> None:
+        if self.supported and not math.isfinite(self.log_value):
+            raise ValueError("the estimate's log value is past a float's range")
 
     @property
     def log10_value(self) -> float:
@@ -107,7 +112,8 @@ def leading_order(spec: CompositeSpec, u: Sequence[int], v: Optional[Sequence[in
     """Leading-order estimate of the count of n steps from u: the formula of the module
     docstring with the end point v, or a free end for ``v=None``; none at n = 0 or where the
     step parity rules it out."""
-    check_walk_length(n)
+    if check_walk_length(n) > sys.float_info.max:  # the estimate scales n's float
+        raise ValueError("walk length n is past a float's range")
     points = [check_chamber_point(spec, p) for p in (u, v) if p is not None]
     k, free = spec.k, v is None
     lam = curvature(spec)

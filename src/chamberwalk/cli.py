@@ -156,7 +156,7 @@ def cmd_preset(name: str, k: int, n_value: int, u_text: Optional[str],
     v = _parse_point(v_text, k, "v") if v_text is not None else None
     inst = presets.preset_spec(name, k, u=u, v=v)
     steps = inst.steps(n_value)
-    if inst.free_endpoint:
+    if inst.v is None:
         cnt = exact.count_reflection_free(inst.spec, inst.u, steps)
     else:
         cnt = exact.count_reflection(inst.spec, inst.u, inst.v, steps)
@@ -184,7 +184,7 @@ def cmd_verify(suite_text: str, seed: int) -> None:
     summary = {}
     for name in names:
         records = verify.run_suite(name, seed)
-        ok = verify.suite_passed(records)
+        ok = all(r["pass"] for r in records)
         summary[name] = {"checks": len(records), "pass": ok}
         if not ok:
             failures.extend(r for r in records if not r["pass"])

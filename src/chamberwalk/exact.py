@@ -336,7 +336,10 @@ def _term_size(spec: CompositeSpec, u: tuple[int, ...], v: tuple[int, ...], n: i
     one by the weights, pointwise."""
     k, top, axis = spec.k, n * spec.degree, spec.kind is AtomicKind.AXIS
     size = top + 1 if axis else _length_count(spec, n)
-    weight_bits = math.ceil(n * math.log2(sum(spec.weights)))
+    try:  # the weights are ints here: log2 of an int takes any size
+        weight_bits = math.ceil(n * math.log2(int(sum(spec.weights))))
+    except OverflowError:  # n*log2(P(1)) past a float's range: n, under the work, is over budget
+        return n
     held = _held_work(2 * k * k * size + axis * (k > 1) * size * (size + 1) // 2, top) \
         + _held_work(size, weight_bits)
     if size == 1:

@@ -11,6 +11,7 @@ specialized closed forms, independent of the general evaluators in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -42,10 +43,6 @@ class PresetInstance:
     u: tuple[int, ...]
     v: Optional[tuple[int, ...]]        # None for free-endpoint presets
     length_scale: int                   # composite steps per unit of the n parameter
-
-    @property
-    def free_endpoint(self) -> bool:
-        return self.v is None
 
     def steps(self, n: int) -> int:
         # checked before scaling: the error quotes the n typed
@@ -101,46 +98,43 @@ def preset_asym(instance: PresetInstance, n: int) -> AsymptoticEstimate:
     odd = tuple(2 * j - 1 for j in range(1, k + 1))
     # for random turns, the exponent on k/n = S/(n S'') with a free end is k^2/2, as the k=1
     # central binomial benchmark confirms
-    n_power = -Fraction(k * k, 2) if instance.free_endpoint else -Fraction(2 * k * k + k, 2)
+    n_power = -Fraction(k * k, 2) if v is None else -Fraction(2 * k * k + k, 2)
 
     if name == "watermelon" and u == odd and v == odd:
         # n counts half-lengths: 2n composite steps
-        base_log = n * k * math.log(4)
+        reps, rate = n * k, math.log(4)
         constant_log = (k * k - k) * log2 - (k / 2) * logpi + _log_factorial_odd(k)
     elif name == "star" and u == odd:
-        base_log = n * k * log2
+        reps, rate = n * k, log2
         constant_log = (k * k - k / 2) * log2 - (k / 2) * logpi \
             + sum(math.lgamma(j) for j in range(1, k + 1))
-    elif name in ("lock-step-fixed", "watermelon"):
+    elif name in _PRESETS and instance.spec.kind is AtomicKind.DIAGONAL:
         # a watermelon off the wall takes the lock-step form at length 2n, its n^power turned
         # into (2n)^power; for lock-step the added term is -0.0, which changes no float
-        base_log = instance.steps(n) * k * log2
-        constant_log = (3 * k / 2) * log2 - (k / 2) * logpi \
-            + _fixed_endpoint_log(u, v) - _log_factorial_odd(k) \
-            + (instance.length_scale - 1) * float(n_power) * log2
-    elif name in ("lock-step-free", "star"):
-        base_log = n * k * log2
-        constant_log = (k / 2) * log2 - (k / 2) * logpi + _free_endpoint_log(u)
-    elif name == "random-turns-fixed":
-        base_log = n * math.log(2 * k)
-        constant_log = log2 + (k / 2) * (log2 - logpi) \
-            + (k * k + k / 2) * math.log(k) \
-            + _fixed_endpoint_log(u, v) - _log_factorial_odd(k)
-    elif name == "random-turns-free":
-        base_log = n * math.log(2 * k)
-        constant_log = (k / 2) * (log2 - logpi) + (k * k / 2) * math.log(k) \
-            + _free_endpoint_log(u)
-    elif name in ("tangled-isolated", "tangled-no-isolated"):
-        s1 = 1 + 2 * k + 4 * k * k if name == "tangled-isolated" else 2 * k + 4 * k * k
-        base_log = n * math.log(s1)
-        # at the default endpoints u = v = (1..k) the endpoint factor
-        # collapses to prod (2j-1)!, matching the printed forms
-        constant_log = (k / 2) * (log2 - logpi) \
-            + (k * k + k / 2) * math.log(s1 / (2 + 8 * k)) \
-            + _fixed_endpoint_log(u, v) - _log_factorial_odd(k)
+        reps, rate = instance.steps(n) * k, log2
+        if v is None:
+            constant_log = (k / 2) * log2 - (k / 2) * logpi + _free_endpoint_log(u)
+        else:
+            constant_log = (3 * k / 2) * log2 - (k / 2) * logpi \
+                + _fixed_endpoint_log(u, v) - _log_factorial_odd(k) \
+                + (instance.length_scale - 1) * float(n_power) * log2
+    elif name in _PRESETS:
+        # S(1), and k/(n Lam) = scale/n: 2k and k for random turns, S(1)/(2 + 8k) for tangled
+        # diagrams; at the default endpoints u = v = (1..k) the endpoint factor collapses to
+        # prod (2j-1)!, matching the printed forms
+        s1 = {"tangled-isolated": 1 + 2 * k + 4 * k * k,
+              "tangled-no-isolated": 2 * k + 4 * k * k}.get(name, 2 * k)
+        scale = k if name.startswith("random-turns") else s1 / (2 + 8 * k)
+        reps, rate = n, math.log(s1)
+        constant_log = (log2 if name == "random-turns-fixed" else 0.0) \
+            + (k / 2) * (log2 - logpi) - float(n_power) * math.log(scale)
+        constant_log = constant_log + _free_endpoint_log(u) if v is None \
+            else constant_log + _fixed_endpoint_log(u, v) - _log_factorial_odd(k)
     else:
         raise ValueError(f"unknown preset {name!r}")
 
+    if reps > sys.float_info.max:  # the growth S(1)^steps is e^(reps * rate)
+        raise ValueError("walk length n is past a float's range")
     supported = n > 0 and (v is None or instance.spec.parity_allows(u, v, instance.steps(n)))
-    log_value = base_log + float(n_power) * math.log(n) + constant_log if supported else math.nan
+    log_value = reps * rate + float(n_power) * math.log(n) + constant_log if supported else math.nan
     return AsymptoticEstimate(log_value=log_value, supported=supported)

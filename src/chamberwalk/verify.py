@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from chamberwalk import asym, detlab, exact, presets
 from chamberwalk.stepmodel import CompositeSpec, lattice_contains, maximal_points
@@ -19,10 +19,6 @@ def run_suite(name: str, seed: int) -> list[dict]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     return SUITES[name](seed)
-
-
-def suite_passed(records: Sequence[dict]) -> bool:
-    return all(r["pass"] for r in records)
 
 
 # ---------------------------------------------------------------------------

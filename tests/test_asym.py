@@ -119,6 +119,18 @@ class TestLeadingOrder:
         assert hashlib.sha256("\n".join(values).encode()).hexdigest() \
             == "d8951758fff2a86c5295803192351688bd447e8313750590bd5fed8a313c76d5"
 
+    @pytest.mark.parametrize("kind", AtomicKind)
+    def test_no_estimate_past_a_float(self, kind):
+        """An n past a float's range, or a log value that overflows one, is invalid input; a
+        small model still has a finite estimate at an n near the largest float."""
+        spec = CompositeSpec(kind, 20, [0, 1])
+        u = tuple(range(1, 41, 2)) if kind is AtomicKind.DIAGONAL else tuple(range(1, 21))
+        for n in (10 ** 400, 10 ** 308):
+            with pytest.raises(ValueError, match="past a float's range"):
+                asym.leading_order(spec, u, u, n)
+        assert math.isfinite(asym.leading_order(CompositeSpec(kind, 1, [0, 1]), (1,), None,
+                                                int(1.5e308)).log_value)
+
 
 class TestEndPointFactor:
     @pytest.mark.parametrize("u", [(1,), (1, 2), (2, 3, 7), (1, 4, 5, 9, 12), tuple(range(1, 40)),

@@ -10,6 +10,8 @@ import pytest
 from chamberwalk import asym, exact, presets, verify
 from chamberwalk.stepmodel import AtomicKind
 
+from test_recurrence import guess, inverse_h_coefficient
+
 
 class TestPresetSpec:
     def test_watermelon_defaults(self):
@@ -20,7 +22,7 @@ class TestPresetSpec:
 
     def test_star_defaults(self):
         inst = presets.preset_spec("star", 2)
-        assert inst.u == (1, 3) and inst.free_endpoint
+        assert inst.u == (1, 3) and inst.v is None
         assert inst.steps(10) == 10
 
     def test_tangled_defaults(self):
@@ -124,6 +126,21 @@ class TestPresetAsym:
         with pytest.raises(ValueError, match="walk length n must be >= 0, got -1"):
             presets.preset_asym(inst, -1)
 
+    @pytest.mark.parametrize("family", ["lock-step-fixed", "tangled-no-isolated"])
+    def test_unknown_name_is_refused(self, family):
+        """A hand-built instance under a name outside the table is never read as a family."""
+        spec = presets.preset_spec(family, 1).spec
+        inst = presets.PresetInstance("bogus", spec, (1,), (1,), 1)
+        with pytest.raises(ValueError, match="unknown preset 'bogus'"):
+            presets.preset_asym(inst, 2)
+
+    @pytest.mark.parametrize("name", presets.PRESET_NAMES)
+    def test_no_estimate_past_a_float(self, name):
+        inst = presets.preset_spec(name, 20)
+        for n in (10 ** 400, 10 ** 308):
+            with pytest.raises(ValueError, match="past a float's range"):
+                presets.preset_asym(inst, n)
+
     def test_unsupported_parity(self):
         inst = presets.preset_spec("lock-step-fixed", 1, u=(1,), v=(1,))
         est = presets.preset_asym(inst, 15)
@@ -138,7 +155,7 @@ class TestPresetAsym:
             wall = presets.preset_spec(name, k)
             shifted = tuple(x + 2 for x in wall.u)
             for inst in (wall, presets.preset_spec(name, k, shifted,
-                                                   None if wall.free_endpoint else shifted)):
+                                                   None if wall.v is None else shifted)):
                 values.append(repr(presets.preset_asym(inst, n).log_value))
         assert len(values) == 320
         assert hashlib.sha256("\n".join(values).encode()).hexdigest() \
@@ -313,7 +330,7 @@ def test_inverse_n_coefficient_at_the_wall(name, k):
     n_delta = {}
     for n in (1000, 2000, 4000, 8000):
         steps = inst.steps(n)
-        if inst.free_endpoint:
+        if inst.v is None:
             count = exact.count_reflection_free(inst.spec, inst.u, steps)
         else:
             count = exact.count_reflection(inst.spec, inst.u, inst.v, steps)
@@ -321,3 +338,66 @@ def test_inverse_n_coefficient_at_the_wall(name, k):
     gaps = [abs(x - target) for x in n_delta.values()]
     assert gaps == sorted(gaps, reverse=True) and len(set(gaps)) == len(gaps), n_delta
     assert 2 * n_delta[8000] - n_delta[4000] == pytest.approx(target, rel=1e-4), n_delta
+
+
+# ---------------------------------------------------------------------------
+# the wall coefficients read off exact forms (Krattenthaler, Guttmann and Viennot 2000)
+
+
+def _b2(b):
+    """B_2(b) = b^2 - b + 1/6: by Stirling's series log Gamma(z + b) has the 1/z term
+    B_2(b)/(2z)."""
+    return b * b - b + Fraction(1, 6)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_fixed_coefficient_is_derived_from_the_watermelon_product(k):
+    """With n = 2h, ``_watermelon``'s telescoped product is prod_(t=1..2k) Gamma(n+t-1)/Gamma(h+t)
+    times prod_(t=0..2k-1) Gamma(1+t/2)/(2^(h-1) Gamma(h+t/2)).  Its 1/z terms, z = n or h,
+    give c = sum_t (B_2(t-1)/2 - B_2(t)) - sum_t B_2(t/2)."""
+    def log_gamma_form(n):
+        h = n // 2
+        return sum(math.lgamma(n + t - 1) - math.lgamma(h + t) for t in range(1, 2 * k + 1)) \
+            + sum(math.lgamma(1 + t / 2) - (h - 1) * math.log(2) - math.lgamma(h + t / 2)
+                  for t in range(2 * k))
+
+    for n in (2, 10, 400):
+        assert log_gamma_form(n) == pytest.approx(asym.log_exact(_watermelon(k, n)), abs=1e-9)
+    c = sum(_b2(Fraction(t - 1)) / 2 - _b2(Fraction(t)) for t in range(1, 2 * k + 1)) \
+        - sum(_b2(Fraction(t, 2)) for t in range(2 * k))
+    assert c == _C_FIXED(k)
+
+
+def _free_ratio(k, h):
+    """a_(h+1)/a_h of lock-step walks of 2h steps from the wall with a free end."""
+    return 2 ** k * math.prod(Fraction(2 * h + 2 * (j // 2) + 1, h + (k + j + 1) // 2)
+                              for j in range(1, k + 1))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_free_coefficient_is_the_ratio_gamma_sum(k):
+    """The ratio makes a_h a constant times 4^(kh) prod_j Gamma(h + floor(j/2) + 1/2) /
+    Gamma(h + floor((k+j+1)/2)), whose 1/h terms give c = sum_j (B_2(floor(j/2) + 1/2) -
+    B_2(floor((k+j+1)/2))) in n = 2h."""
+    c = sum(_b2(Fraction(j // 2) + Fraction(1, 2)) - _b2(Fraction((k + j + 1) // 2))
+            for j in range(1, k + 1))
+    assert c == _C_FREE(k)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_free_counts_at_the_wall_follow_the_ratio(k):
+    """The DP's 2k + 8 counts at n = 0, 2, 4, ... fix a first-order recurrence; its coefficients
+    are the ratio's, and its exact 1/n coefficient is ``_C_FREE(k)``."""
+    inst = presets.preset_spec("lock-step-free", k)
+    terms = [exact.count_confined_free(inst.spec, inst.u, 2 * h) for h in range(2 * k + 8)]
+    r, d, (low, high) = guess(terms)
+    assert (r, d) == (1, k)
+
+    def value(poly, h):
+        return sum(c * h ** j for j, c in enumerate(poly))
+
+    # both sides of -low * prod (h + ...) = high * 2^k prod (2h + ...) have degree <= 2k
+    for h in range(2 * k + 1):
+        assert Fraction(-value(low, h), value(high, h)) == _free_ratio(k, h)
+    assert 2 * inverse_h_coefficient([low, high], Fraction(4 ** k), -Fraction(k * k, 2)) \
+        == _C_FREE(k)

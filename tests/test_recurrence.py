@@ -132,7 +132,19 @@ def inverse_h_coefficient(coefficients, rho, alpha):
     ("random-turns-free", (1, 2, 3), 2, 24, (2, 3), (200, 400), Fraction(-63, 4), 4000),
     # from the wall, where a tangled diagram's walk starts and ends
     ("tangled-isolated", (1, 2), 1, 70, (6, 5), (200, 1000), Fraction(-625, 72), 2000),
-], ids=["random-turns-fixed", "lock-step", "random-turns-free", "tangled-isolated"])
+    # the DP's last lengths: 3160 and 244 for random turns at k = 1 and 2, 1580 and 122 for
+    # tangled diagrams
+    ("random-turns-fixed", (1,), 2, 24, (1, 1), (3200, 4000), Fraction(-9, 4), 2000),
+    ("random-turns-fixed", (1, 2), 2, 40, (1, 2), (1000, 4000), Fraction(-35, 2), 2000),
+    ("random-turns-free", (1,), 2, 24, (1, 1), (3200, 4000), Fraction(-1, 4), 2000),
+    ("random-turns-free", (1, 2), 2, 40, (1, 2), (1000, 4000), Fraction(-7, 2), 2000),
+    ("tangled-isolated", (1,), 1, 40, (3, 3), (1600, 2000), Fraction(-87, 80), 2000),
+    ("tangled-no-isolated", (1,), 1, 40, (3, 3), (1600, 2000), Fraction(-6, 5), 2000),
+    ("tangled-no-isolated", (1, 2), 1, 50, (5, 5), (200, 400), Fraction(-485, 54), 2000),
+], ids=["random-turns-fixed", "lock-step", "random-turns-free", "tangled-isolated",
+        "random-turns-fixed-k1", "random-turns-fixed-k2", "random-turns-free-k1",
+        "random-turns-free-k2", "tangled-isolated-k1", "tangled-no-isolated-k1",
+        "tangled-no-isolated-k2"])
 def test_reflection_meets_the_dp_recurrence_past_the_dp(name, u, step, seeds, shape, checks,
                                                         c, richardson):
     """The DP's counts at n = 0, step, 2*step, ..., fix a recurrence in h = n/step; the
